@@ -19,6 +19,15 @@ use gridsteer_fuzz::{
 };
 use gridsteer_harness::{Scenario, ScenarioReport};
 
+/// Report digest of every corpus file's scenario. A refactor of the
+/// engine must leave each one byte-identical; a new corpus file needs
+/// its digest added here.
+const CORPUS_DIGESTS: [(&str, &str); 3] = [
+    ("seed-crash-chain.scen", "8877d2688ae25dc5"),
+    ("seed-pepc-shards.scen", "118dc1c2e56d13d3"),
+    ("seed-relay-faults.scen", "38967188783d711d"),
+];
+
 #[test]
 fn corpus_replays_forever() {
     let files = corpus::load_dir(&corpus::corpus_dir()).expect("corpus dir must exist");
@@ -29,6 +38,13 @@ fn corpus_replays_forever() {
     );
     for (name, text) in files {
         corpus::check_text(&text).unwrap_or_else(|e| panic!("corpus file {name} regressed: {e}"));
+        let digest = corpus::parse(&text).unwrap().scenario.run().digest();
+        let pinned = CORPUS_DIGESTS.iter().find(|(n, _)| *n == name);
+        assert_eq!(
+            pinned.map(|(_, d)| *d),
+            Some(digest.as_str()),
+            "corpus file {name}: report digest drifted from its pin"
+        );
     }
 }
 

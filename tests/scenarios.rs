@@ -50,6 +50,7 @@ fn s1_baseline_lbm_clean_links() {
         .participant("carol", Link::transatlantic())
         .duration(SimTime::from_secs(2))
         .run();
+    assert_eq!(r.digest(), "aa3b48509ea28652");
     assert_eq!(r.broadcasts, 20);
     assert_eq!(r.total_drops(), 0);
     assert_eq!(r.total_deliveries(), 60);
@@ -72,6 +73,7 @@ fn s2_packet_loss_burst_on_one_client() {
         .loss_at(ms(1500), "bob", 0)
         .steer_at(ms(2000), "alice", "miscibility", 0.2)
         .run();
+    assert_eq!(r.digest(), "61890a868141662b");
     let bob = &r.links.iter().find(|(n, _)| n == "bob").unwrap().1;
     let alice = &r.links.iter().find(|(n, _)| n == "alice").unwrap().1;
     assert!(bob.dropped > 0, "burst must drop something: {bob:?}");
@@ -100,6 +102,7 @@ fn s3_latency_jitter_stays_in_budget() {
         .jitter_at(SimTime::ZERO, "bob", ms(120))
         .jitter_at(SimTime::ZERO, "desk", ms(120))
         .run();
+    assert_eq!(r.digest(), "c15129814f8d30b2");
     assert_eq!(r.total_drops(), 0);
     assert!(r.p99 > r.p50, "jitter must spread the percentiles");
     assert!(r.max_skew > SimTime::ZERO);
@@ -129,6 +132,7 @@ fn s4_partition_and_heal() {
         .partition_at(ms(1000), "bob")
         .heal_at(ms(2000), "bob")
         .run();
+    assert_eq!(r.digest(), "1b9c1d79cf2070d1");
     let bob = &r.links.iter().find(|(n, _)| n == "bob").unwrap().1;
     // samples at 1.1s..2.0s fall in the window: exactly 10 drops
     assert_eq!(bob.dropped, 10, "{bob:?}");
@@ -153,6 +157,7 @@ fn s5_client_churn_keeps_session_steerable() {
         .leave_at(ms(2000), "carol")
         .steer_at(ms(2200), "bob", "miscibility", 0.4)
         .run();
+    assert_eq!(r.digest(), "21b6a388436ffa08");
     assert!(r
         .session_events
         .contains(&"MasterPassed(alice->bob)".to_string()));
@@ -183,6 +188,7 @@ fn s6_master_handoff_under_partition() {
         .leave_at(ms(1000), "alice")
         .steer_at(ms(1500), "bob", "miscibility", 0.3)
         .run();
+    assert_eq!(r.digest(), "f0350e2a47f0a2e9");
     assert_eq!(r.steers_lost, 1);
     assert_eq!(r.steers_applied, 1);
     assert!(r.engine_events.iter().any(|e| e.contains("steer-lost")));
@@ -209,6 +215,7 @@ fn s7_midrun_migration_lbm() {
         .steer_at(ms(500), "alice", "miscibility", 0.1)
         .migrate_at(ms(1000), "london", "phoenix")
         .run();
+    assert_eq!(r.digest(), "aa895863ae19150d");
     assert_eq!(r.migrations.len(), 1);
     let m = &r.migrations[0];
     assert!(m.bytes > 0);
@@ -239,6 +246,7 @@ fn s8_pepc_backend_with_loss() {
         .loss_at(SimTime::ZERO, "phoenix", 300_000)
         .steer_at(ms(700), "juelich", "damping", 0.5)
         .run();
+    assert_eq!(r.digest(), "87279ef43c4ab7a8");
     assert_eq!(r.backend, "pepc");
     assert!(r.broadcasts > 0);
     let phx = &r.links.iter().find(|(n, _)| n == "phoenix").unwrap().1;
@@ -265,6 +273,7 @@ fn s9_pepc_jitter_and_token_pass() {
         .pass_master_at(ms(800), "juelich", "stuttgart")
         .steer_at(ms(1200), "stuttgart", "laser_amplitude", 2.5)
         .run();
+    assert_eq!(r.digest(), "103bbcb0a9f4d3bb");
     assert!(r
         .session_events
         .contains(&"MasterPassed(juelich->stuttgart)".to_string()));
@@ -298,6 +307,7 @@ fn s10_combined_stress_is_reproducible() {
     };
     let r1 = build().run();
     let r2 = build().run();
+    assert_eq!(r1.digest(), "605542cfd25a7abe");
     assert_eq!(r1.render(), r2.render(), "stress run must replay exactly");
     assert_eq!(r1.digest(), r2.digest());
     assert!(r1.broadcasts > 0);
@@ -388,6 +398,7 @@ fn s11_mixed_transport_interop() {
     };
     let r1 = build().run();
     let r2 = build().run();
+    assert_eq!(r1.digest(), "522689e4184f8ce3");
     // byte-stable digest: identical across re-runs…
     assert_eq!(r1.render(), r2.render(), "mixed-transport run must replay");
     assert_eq!(r1.digest(), r2.digest());
@@ -468,6 +479,7 @@ fn s12_mixed_transport_viewer_fanout() {
     };
     let r1 = build().run();
     let r2 = build().run();
+    assert_eq!(r1.digest(), "7542d4fbbf94db27");
     // byte-stable digest: identical across re-runs…
     assert_eq!(r1.render(), r2.render(), "viewer fan-out must replay");
     assert_eq!(r1.digest(), r2.digest());
@@ -556,6 +568,7 @@ fn s13_viewer_churn_detaches_cleanly() {
     };
     let r1 = build().run();
     let r2 = build().run();
+    assert_eq!(r1.digest(), "9db84081a7b7a475");
     assert_eq!(
         r1.render(),
         r2.render(),
@@ -625,6 +638,7 @@ fn s14_relay_tier_fanout_under_faults() {
     };
     let r1 = build().run();
     let r2 = build().run();
+    assert_eq!(r1.digest(), "852a27a856d6bb2b");
     assert_eq!(r1.render(), r2.render(), "relay tree must replay");
     let r_serial = build().pool(gridsteer_exec::shared(1)).run();
     let r_wide = build().pool(gridsteer_exec::shared(8)).run();
@@ -691,6 +705,7 @@ fn s15_crash_restore_digest_equivalent_resume() {
     let smooth = build().run();
     let recovered = || build().crash_at(ms(1050)).restore_at(ms(1080));
     let r1 = recovered().run();
+    assert_eq!(r1.digest(), "b0d44ad8ade31532");
     assert_eq!(
         smooth.render(),
         r1.render(),
@@ -711,6 +726,7 @@ fn s15_crash_restore_digest_equivalent_resume() {
     // past the 1000 ms cut; the restore rewinds the backend, the report
     // diverges and progress is provably lost
     let stale = build().crash_at(ms(1250)).restore_at(ms(1280)).run();
+    assert_eq!(stale.digest(), "5bbb78473d310510");
     assert_ne!(smooth.digest(), stale.digest());
     assert!(
         stale.final_progress < smooth.final_progress,
@@ -749,6 +765,7 @@ fn s16_delta_checkpoint_chain_restore() {
             .restore_at(ms(980))
     };
     let r1 = recovered().run();
+    assert_eq!(r1.digest(), "8527fd1823a60262");
     assert_eq!(
         smooth.render(),
         r1.render(),
