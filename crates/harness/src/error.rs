@@ -60,6 +60,16 @@ pub enum ScenarioError {
         /// When the restore was scheduled.
         at: SimTime,
     },
+    /// A [`crate::Action::Restore`] whose crash comes before the first
+    /// checkpoint is cut: no sample tick at or after the first
+    /// `checkpoint_every` due time runs before the process dies, so the
+    /// chain is empty.
+    CrashBeforeFirstCheckpoint {
+        /// When the first crash was scheduled.
+        crash: SimTime,
+        /// The sample tick that would cut the first checkpoint.
+        first_cut: SimTime,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -97,6 +107,11 @@ impl fmt::Display for ScenarioError {
             ScenarioError::RestoreWithoutCrash { at } => {
                 write!(f, "restore at {at} without a crash in effect")
             }
+            ScenarioError::CrashBeforeFirstCheckpoint { crash, first_cut } => write!(
+                f,
+                "crash at {crash} comes before the first checkpoint (cut at the \
+                 {first_cut} sample tick) — the restore has no chain to restore from"
+            ),
         }
     }
 }

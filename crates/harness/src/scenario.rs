@@ -28,6 +28,14 @@
 //! counts, and a byte-stable fold of the received frames all land in the
 //! [`ScenarioReport`] digest.
 //!
+//! Internally, [`Scenario::run`] validates the script, builds one private
+//! `Engine` that owns the run's whole state, and hands it each event off
+//! the queue. Every sample tick calls the layers in one fixed order:
+//! commit → advance → broadcast → participant links → publish → relay
+//! pump → viewer links → checkpoint cut. The benchmark's traced replay
+//! (`steerbench/src/replay.rs`) mirrors this order, so a change to it
+//! here must be made there too.
+//!
 //! ```
 //! use gridsteer_harness::Scenario;
 //! use netsim::{Link, SimTime};
@@ -55,16 +63,17 @@ use crate::backend::{LbmBackend, PepcBackend, ScenarioBackend};
 use crate::error::ScenarioError;
 use crate::report::{MigrationRecord, RelayRecord, ScenarioReport, ViewerRecord};
 use gridsteer_bus::{
-    Capabilities, LoopbackMonitor, MonitorCaps, MonitorEndpoint, MonitorHub, MonitorStats,
-    RelayHub, RelayPolicy, SteerCommand, SteerEndpoint, SteerHub, Transport,
+    Capabilities, LoopbackMonitor, MonitorCaps, MonitorEndpoint, MonitorFrame, MonitorHub,
+    MonitorStats, RelayHub, RelayPolicy, SteerCommand, SteerEndpoint, SteerHub, Transport,
 };
 use gridsteer_ckpt::Snapshot;
 use lbm::LbmConfig;
-use netsim::{EventQueue, FaultyLink, Link, NetModel, SimTime};
+use netsim::{EventQueue, FaultyLink, Link, NetModel, SimTime, SiteId};
 use pepc::PepcConfig;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use steer_core::{LoopBudget, LoopMonitor, ParamValue, SessionEvent, SteeringSession};
 
 /// Wire size of one steer command frame.
@@ -181,8 +190,10 @@ pub enum Action {
     /// steer hub, session shards, monitor hub, relay tiers — is rebuilt
     /// from it. Steering clients and viewers reconnect over their
     /// declared transports; sequence numbering and delivery schedules
-    /// resume exactly where the checkpoint cut them. Panics if no crash
-    /// is in progress or no checkpoint was ever cut (builder misuse).
+    /// resume exactly where the checkpoint cut them. [`Scenario::validate`]
+    /// rejects a restore with no crash in effect, without
+    /// `checkpoint_every`, or whose crash comes before the first
+    /// checkpoint is cut.
     Restore,
 }
 
@@ -741,7 +752,8 @@ impl Scenario {
 
     /// Check the built script for structural defects — duplicate
     /// declarations, dangling relay references, actions scheduled past the
-    /// duration, a restore with no checkpoint chain or no crash in effect.
+    /// duration, a restore with no checkpoint chain, no crash in effect, or
+    /// a crash that comes before the first checkpoint is cut.
     /// [`Scenario::run`] calls this first and panics with the error; the
     /// fuzzer calls it directly to keep its valid/invalid boundary crisp.
     pub fn validate(&self) -> Result<(), ScenarioError> {
@@ -804,6 +816,7 @@ impl Scenario {
         let mut order: Vec<usize> = (0..self.actions.len()).collect();
         order.sort_by_key(|&i| self.actions[i].0);
         let mut crashed = false;
+        let mut first_crash: Option<SimTime> = None;
         for &i in &order {
             let (t, action) = &self.actions[i];
             if *t > self.duration {
@@ -814,13 +827,25 @@ impl Scenario {
                 });
             }
             match action {
-                Action::Crash => crashed = true,
+                Action::Crash => {
+                    crashed = true;
+                    first_crash.get_or_insert(*t);
+                }
                 Action::Restore => {
-                    if self.checkpoint_every.is_none() {
+                    let Some(interval) = self.checkpoint_every else {
                         return Err(ScenarioError::RestoreWithoutCheckpoint);
-                    }
-                    if !crashed {
+                    };
+                    let Some(crash) = first_crash.filter(|_| crashed) else {
                         return Err(ScenarioError::RestoreWithoutCrash { at: *t });
+                    };
+                    // the chain's head is cut at the first sample tick at or
+                    // after `interval`; an action due at a tick's time runs
+                    // before that tick, so the cut must come strictly first
+                    let every = self.sample_every.as_nanos();
+                    let first_cut =
+                        SimTime::from_nanos(interval.as_nanos().div_ceil(every) * every);
+                    if crash <= first_cut {
+                        return Err(ScenarioError::CrashBeforeFirstCheckpoint { crash, first_cut });
                     }
                     crashed = false;
                 }
@@ -941,14 +966,95 @@ impl Scenario {
     }
 
     /// Execute the scenario and return its report. Running the same built
-    /// scenario twice yields byte-identical reports.
+    /// scenario twice yields byte-identical reports. Panics if
+    /// [`Scenario::validate`] rejects the script.
     pub fn run(&self) -> ScenarioReport {
         if let Err(e) = self.validate() {
             panic!("scenario {:?} is malformed: {e}", self.name);
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut engine = Engine::build(self);
+        let mut processed = 0usize;
+        while let Some(ev) = engine.queue.pop() {
+            processed += 1;
+            if processed > MAX_EVENTS {
+                engine.events.push(format!("{} runaway-guard", ev.at));
+                break;
+            }
+            match ev.payload {
+                Ev::Sample => engine.tick(ev.at),
+                Ev::Act(i) => engine.act(ev.at, &self.actions[i].1),
+                Ev::ApplySteer { who, param, value } => engine.stage(ev.at, &who, &param, value),
+            }
+        }
+        engine.finish()
+    }
+}
+
+/// One run's whole state between events: the steer plane, the backend,
+/// the data plane, the counters, and the crash and checkpoint state.
+///
+/// Fields drop in declaration order. The checkpoint state — the bulk of a
+/// checkpointing run's heap — comes first so it is freed first; with
+/// glibc's allocator the next run then reuses most of it instead of
+/// faulting in fresh pages.
+struct Engine<'s> {
+    s: &'s Scenario,
+    last_snap: Option<Snapshot>,
+    /// One full snapshot blob followed by deltas.
+    chain: Vec<Vec<u8>>,
+    last_ckpt: Option<SimTime>,
+    rng: StdRng,
+    backend: Box<dyn ScenarioBackend>,
+    queue: EventQueue<Ev>,
+    /// One bus hub per run: every session shard shares its registry (one
+    /// parameter authority), every participant attaches an endpoint of
+    /// their routed transport.
+    hub: SteerHub,
+    /// Shards own disjoint participant sets, assigned round-robin by
+    /// join order.
+    sessions: Vec<SteeringSession>,
+    shard_of: BTreeMap<String, usize>,
+    next_shard: usize,
+    endpoints: BTreeMap<String, Box<dyn SteerEndpoint>>,
+    clients: Vec<Client>,
+    /// The backend publishes its step-boundary output here; relay tiers
+    /// and origin-attached viewers subscribe to it.
+    mhub: MonitorHub,
+    /// Relay tiers in declaration order (parents before children).
+    relays: Vec<RelayNode>,
+    viewers: Vec<ViewerState>,
+    /// Participant sample arrivals, scored against the post-processing
+    /// budget.
+    post: LoopMonitor,
+    events: Vec<String>,
+    migrations: Vec<MigrationRecord>,
+    /// Invariant-oracle probes: structural properties checked as the run
+    /// unfolds. Not part of the rendered report (digests are unchanged) —
+    /// the fuzzer reads them off the report afterwards.
+    probe_violations: Vec<String>,
+    broadcasts: u64,
+    skipped: u64,
+    steers_applied: u64,
+    steers_lost: u64,
+    /// Sample ticks black out until this time (a migration's gap).
+    pause_until: SimTime,
+    /// Sample ticks black out while the process is dead.
+    crashed: bool,
+    /// The `sc2003` site network migrations transfer over.
+    net: NetModel,
+    sites: HashMap<String, SiteId>,
+}
+
+impl<'s> Engine<'s> {
+    /// Seed the RNG, build the backend, join the t=0 participants, attach
+    /// the relay tiers and viewers, and schedule every action plus the
+    /// first sample tick. The RNG draw order is part of the digest
+    /// contract: backend seed, then two draws per participant, relay and
+    /// viewer link in that order.
+    fn build(s: &'s Scenario) -> Engine<'s> {
+        let mut rng = StdRng::seed_from_u64(s.seed);
         let backend_seed = rng.next_u64();
-        let mut backend: Box<dyn ScenarioBackend> = match &self.backend {
+        let mut backend: Box<dyn ScenarioBackend> = match &s.backend {
             BackendSpec::Lbm(cfg) => {
                 let mut cfg = cfg.clone();
                 cfg.seed = backend_seed;
@@ -960,368 +1066,690 @@ impl Scenario {
                 Box::new(PepcBackend::new(cfg))
             }
         };
-        if let Some(pool) = &self.pool {
+        if let Some(pool) = &s.pool {
             backend.set_pool(pool.clone());
         }
-        // one bus hub per run: every session shard shares its registry
-        // (one parameter authority), every participant attaches an
-        // endpoint of their routed transport. Shards own disjoint
-        // participant sets, assigned round-robin by join order.
         let hub = SteerHub::new(backend.param_specs());
-        let mut sessions: Vec<SteeringSession> = (0..self.shards)
+        let sessions = (0..s.shards)
             .map(|_| SteeringSession::with_registry(hub.registry()))
             .collect();
-        let mut shard_of: BTreeMap<String, usize> = BTreeMap::new();
-        let mut next_shard = 0usize;
-        let mut endpoints: BTreeMap<String, Box<dyn SteerEndpoint>> = BTreeMap::new();
-        let mut engine_events: Vec<String> = Vec::new();
         let (net, sites) = NetModel::sc2003();
-        let mut clients: Vec<Client> = Vec::new();
-        for (name, link) in &self.participants {
-            join_client(
-                JoinCtx {
-                    clients: &mut clients,
-                    sessions: &mut sessions,
-                    shard_of: &mut shard_of,
-                    next_shard: &mut next_shard,
-                    endpoints: &mut endpoints,
-                    hub: &hub,
-                    transports: &self.transports,
-                    engine_events: &mut engine_events,
-                    now: SimTime::ZERO,
-                },
-                name,
-                link,
-                &mut rng,
-            );
+        let mut e = Engine {
+            s,
+            rng,
+            backend,
+            queue: EventQueue::new(),
+            hub,
+            sessions,
+            shard_of: BTreeMap::new(),
+            next_shard: 0,
+            endpoints: BTreeMap::new(),
+            clients: Vec::new(),
+            mhub: MonitorHub::new(),
+            relays: Vec::new(),
+            viewers: Vec::new(),
+            post: LoopMonitor::new(LoopBudget::PostProcessing),
+            events: Vec::new(),
+            migrations: Vec::new(),
+            probe_violations: Vec::new(),
+            broadcasts: 0,
+            skipped: 0,
+            steers_applied: 0,
+            steers_lost: 0,
+            pause_until: SimTime::ZERO,
+            crashed: false,
+            chain: Vec::new(),
+            last_snap: None,
+            last_ckpt: None,
+            net,
+            sites,
+        };
+        for (name, link) in &s.participants {
+            e.join(SimTime::ZERO, name, link);
         }
+        for spec in &s.relays {
+            e.attach_relay(spec);
+        }
+        for spec in &s.viewers {
+            e.attach_viewer(SimTime::ZERO, spec);
+        }
+        for (i, (t, _)) in s.actions.iter().enumerate() {
+            e.queue.schedule(*t, Ev::Act(i));
+        }
+        if s.sample_every <= s.duration {
+            e.queue.schedule(s.sample_every, Ev::Sample);
+        }
+        e
+    }
 
-        // the monitor hub: the backend publishes its step-boundary output
-        // here, and every declared viewer subscribes over its transport
-        // with a negotiated capability set (logged — part of the digest)
-        let mhub = MonitorHub::new();
-        // relay tiers first (parents must exist before children attach):
-        // each relay subscribes on its parent surface as an ordinary
-        // endpoint — the engine drains that collector and ships the batch
-        // over the relay's own faulted uplink
-        let mut relays: Vec<RelayNode> = Vec::new();
-        for spec in &self.relays {
-            let parent = spec.parent.as_ref().map(|p| {
-                relays.iter().position(|r| r.name == *p).unwrap_or_else(|| {
-                    panic!(
-                        "relay_under: parent {p:?} of {:?} must be declared first",
-                        spec.name
-                    )
-                })
-            });
-            let relay_hub = RelayHub::new(RelayPolicy {
+    /// A faulted link whose base and fault streams are the next two draws
+    /// of the scenario RNG.
+    fn faulty(&mut self, link: &Link) -> FaultyLink {
+        let mut base = link.clone();
+        base.seed = self.rng.next_u64();
+        let fault_seed = self.rng.next_u64();
+        FaultyLink::new(base, fault_seed)
+    }
+
+    /// Attach a steer endpoint for `name` over its routed transport and
+    /// run the client handshake, returning the endpoint and the
+    /// negotiated capability set.
+    fn connect(&self, name: &str) -> (Box<dyn SteerEndpoint>, Capabilities) {
+        let transport = self.s.transports.get(name).copied().unwrap_or_default();
+        let mut ep = transport.attach(&self.hub, name);
+        let negotiated = ep.negotiate(&Capabilities::full("scenario-client", 64));
+        (ep, negotiated)
+    }
+
+    fn relay_index(&self, name: &str) -> Option<usize> {
+        self.relays.iter().position(|r| r.name == name)
+    }
+
+    /// Join (or rejoin) a participant: session membership (first join
+    /// assigns a shard round-robin; a rejoin returns to the same shard),
+    /// a fresh faulted link, and — on first join — a bus endpoint with
+    /// its capability handshake logged (part of the report digest).
+    fn join(&mut self, now: SimTime, name: &str, link: &Link) {
+        let shards = self.sessions.len();
+        let next = &mut self.next_shard;
+        let shard = *self.shard_of.entry(name.to_string()).or_insert_with(|| {
+            let s = *next % shards;
+            *next += 1;
+            s
+        });
+        let session = &mut self.sessions[shard];
+        if session.index_of(name).is_none() {
+            session.join(name);
+        }
+        if !self.endpoints.contains_key(name) {
+            let (ep, negotiated) = self.connect(name);
+            self.events
+                .push(format!("{now} attach {name} {}", negotiated.render()));
+            self.endpoints.insert(name.to_string(), ep);
+        }
+        let fresh = self.faulty(link);
+        match self.clients.iter_mut().find(|c| c.name == name) {
+            Some(c) => {
+                // a rejoin is a new connection: the given link replaces the
+                // old one, clearing any partition/loss/jitter state;
+                // delivery stats accumulate across connections
+                let old = c.link.stats();
+                c.prior_stats.delivered += old.delivered;
+                c.prior_stats.dropped += old.dropped;
+                c.link = fresh;
+                c.online = true;
+            }
+            None => self.clients.push(Client {
+                name: name.to_string(),
+                link: fresh,
+                online: true,
+                prior_stats: netsim::LinkStats::default(),
+            }),
+        }
+    }
+
+    /// Attach a relay tier as an ordinary subscriber on its parent surface
+    /// (the origin hub or the parent tier): the engine drains that
+    /// collector each tick and ships the batch over the tier's own
+    /// faulted uplink.
+    fn attach_relay(&mut self, spec: &RelaySpec) {
+        let parent = spec.parent.as_deref().and_then(|p| self.relay_index(p));
+        let collector = Box::new(LoopbackMonitor::new());
+        let caps = RelayHub::uplink_caps();
+        let negotiated = match parent {
+            None => self.mhub.attach_endpoint(&spec.name, collector, &caps),
+            Some(p) => self.relays[p]
+                .hub
+                .attach_child_with_budget(&spec.name, collector, &caps, None),
+        };
+        self.events.push(format!(
+            "{} attach-relay {} parent={} {}",
+            SimTime::ZERO,
+            spec.name,
+            spec.parent.as_deref().unwrap_or("origin"),
+            negotiated.render()
+        ));
+        let uplink = self.faulty(&spec.uplink);
+        self.relays.push(RelayNode {
+            name: spec.name.clone(),
+            parent,
+            uplink,
+            hub: RelayHub::new(RelayPolicy {
                 deliver_every: spec.every,
                 default_child_budget: spec.child_budget,
-            });
-            let negotiated = match parent {
-                None => mhub.attach_endpoint(
-                    &spec.name,
-                    Box::new(LoopbackMonitor::new()),
-                    &RelayHub::uplink_caps(),
-                ),
-                Some(p) => relays[p].hub.attach_child_with_budget(
-                    &spec.name,
-                    Box::new(LoopbackMonitor::new()),
-                    &RelayHub::uplink_caps(),
-                    None,
-                ),
-            };
-            engine_events.push(format!(
-                "{} attach-relay {} parent={} {}",
-                SimTime::ZERO,
-                spec.name,
-                spec.parent.as_deref().unwrap_or("origin"),
-                negotiated.render()
-            ));
-            let mut base = spec.uplink.clone();
-            base.seed = rng.next_u64();
-            let fault_seed = rng.next_u64();
-            relays.push(RelayNode {
-                name: spec.name.clone(),
-                parent,
-                uplink: FaultyLink::new(base, fault_seed),
-                hub: relay_hub,
-                arrival: None,
-                uplink_dropped: 0,
-            });
-        }
-        let mut viewers: Vec<ViewerState> = Vec::new();
-        for spec in &self.viewers {
-            attach_viewer(
-                &mut viewers,
-                &mhub,
-                &relays,
-                &mut engine_events,
-                &mut rng,
-                spec,
-                SimTime::ZERO,
-            );
-        }
+            }),
+            arrival: None,
+            uplink_dropped: 0,
+        });
+    }
 
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        for (i, (t, _)) in self.actions.iter().enumerate() {
-            queue.schedule(*t, Ev::Act(i));
-        }
-        if self.sample_every <= self.duration {
-            queue.schedule(self.sample_every, Ev::Sample);
-        }
-
-        let mut post = LoopMonitor::new(LoopBudget::PostProcessing);
-        let mut migrations: Vec<MigrationRecord> = Vec::new();
-        let mut broadcasts = 0u64;
-        let mut skipped = 0u64;
-        let mut steers_applied = 0u64;
-        let mut steers_lost = 0u64;
-        let mut pause_until = SimTime::ZERO;
-        let mut processed = 0usize;
-        // invariant-oracle probes: structural properties checked as the
-        // run unfolds. Not part of the rendered report (digests are
-        // unchanged) — the fuzzer reads them off the report afterwards.
-        let mut probe_violations: Vec<String> = Vec::new();
-        // crash-recovery state: while `crashed`, sample ticks black out;
-        // the checkpoint chain is one full snapshot blob plus deltas
-        let mut crashed = false;
-        let mut ckpt_chain: Vec<Vec<u8>> = Vec::new();
-        let mut last_snap: Option<Snapshot> = None;
-        let mut last_ckpt: Option<SimTime> = None;
-
-        while let Some(ev) = queue.pop() {
-            processed += 1;
-            if processed > MAX_EVENTS {
-                engine_events.push(format!("{} runaway-guard", ev.at));
-                break;
+    /// Attach (or re-attach) a monitor viewer at the origin hub or under a
+    /// relay tier, logging the capability handshake. A re-attach after a
+    /// [`Action::ViewerLeave`] reuses the viewer's record: delivery
+    /// counters and the frame digest keep accumulating across
+    /// connections.
+    fn attach_viewer(&mut self, now: SimTime, spec: &ViewerSpec) {
+        let relay = spec.relay.as_deref().and_then(|r| self.relay_index(r));
+        let caps = MonitorCaps::full("scenario-viewer", 64).every(spec.every);
+        let ep = spec.transport.attach_monitor(&spec.name);
+        let negotiated = match relay {
+            None => self.mhub.attach_endpoint(&spec.name, ep, &caps),
+            Some(i) => self.relays[i].hub.attach_child(&spec.name, ep, &caps),
+        };
+        let via = match &spec.relay {
+            None => String::new(),
+            Some(r) => format!("via={r} "),
+        };
+        self.events.push(format!(
+            "{} attach-viewer {} {}budget={} {}",
+            now,
+            spec.name,
+            via,
+            spec.budget.name(),
+            negotiated.render()
+        ));
+        let link = self.faulty(&spec.link);
+        match self.viewers.iter_mut().find(|v| v.name == spec.name) {
+            Some(v) => {
+                v.link = link;
+                v.kind = spec.transport;
+                v.relay = relay;
+                v.last_seq = None;
+                v.fresh_attach = true;
+                v.online = true;
+                v.final_stats = None;
             }
-            let now = ev.at;
-            match ev.payload {
-                Ev::Sample => {
-                    if now + self.sample_every <= self.duration {
-                        queue.schedule(now + self.sample_every, Ev::Sample);
-                    }
-                    if crashed || now < pause_until {
-                        skipped += 1;
-                        continue;
-                    }
-                    // the step boundary: staged batches apply atomically,
-                    // in staging order, before the physics advances
-                    commit_staged(
-                        &hub,
-                        &mut sessions,
-                        &shard_of,
-                        backend.as_mut(),
-                        &mut steers_applied,
-                        &mut steers_lost,
-                        &mut engine_events,
-                        now,
-                    );
-                    // oracle probe: the steering invariant — exactly one
-                    // master per non-empty shard — must hold at every
-                    // observable step boundary
-                    for (si, s) in sessions.iter().enumerate() {
-                        let masters = s.master_count();
-                        if masters != usize::from(!s.is_empty()) {
-                            probe_violations.push(format!(
-                                "{now} shard {si}: {masters} masters among {} participants",
-                                s.len()
-                            ));
-                        }
-                    }
-                    backend.advance(self.steps_per_sample);
-                    let bytes = backend.sample_bytes();
-                    for s in sessions.iter_mut() {
-                        s.broadcast_sample(bytes);
-                    }
-                    broadcasts += 1;
-                    let mut earliest: Option<SimTime> = None;
-                    let mut latest: Option<SimTime> = None;
-                    for c in clients.iter_mut().filter(|c| c.online) {
-                        if let Some(arrival) = c.link.deliver(now, bytes) {
-                            post.record(arrival.saturating_since(now));
-                            earliest = Some(earliest.map_or(arrival, |e: SimTime| {
-                                if arrival < e {
-                                    arrival
-                                } else {
-                                    e
-                                }
-                            }));
-                            latest = Some(latest.map_or(arrival, |l: SimTime| l.max(arrival)));
-                        }
-                    }
-                    if let (Some(lo), Some(hi)) = (earliest, latest) {
-                        post.record_skew(hi.saturating_since(lo));
-                    }
-                    // the data plane: the backend publishes its monitored
-                    // quantities (one batch per step boundary), the hub
-                    // fans out per negotiated caps, and each viewer's
-                    // admitted frames ride its faulted link — every
-                    // arrival scored against that viewer's budget.
-                    // Viewer-less scenarios skip the whole path: sampling
-                    // the monitor surface costs full-lattice passes.
-                    if !viewers.is_empty() || !relays.is_empty() {
-                        backend.publish_monitor(&mhub);
-                    }
-                    // relay tick, top-down (parents precede children by
-                    // declaration): drain the tier's collector on its
-                    // parent surface, ship the whole batch as one
-                    // envelope over the faulted uplink, and on arrival
-                    // fan it out to the tier's children
-                    for i in 0..relays.len() {
-                        let parent = relays[i].parent;
-                        let (frames, depart) = match parent {
-                            None => (mhub.recv(&relays[i].name), now),
-                            Some(p) => (
-                                relays[p].hub.recv_child(&relays[i].name),
-                                relays[p].arrival.unwrap_or(now),
-                            ),
-                        };
-                        if frames.is_empty() {
-                            continue;
-                        }
-                        let bytes: usize = frames.iter().map(|f| f.wire_size()).sum();
-                        match relays[i].uplink.deliver(depart, bytes) {
-                            Some(arrival) => {
-                                relays[i].arrival = Some(arrival);
-                                relays[i].hub.ingest(&frames);
+            None => self.viewers.push(ViewerState {
+                name: spec.name.clone(),
+                transport: spec.transport.label(),
+                kind: spec.transport,
+                budget: spec.budget,
+                link,
+                monitor: LoopMonitor::new(spec.budget),
+                delivered: 0,
+                dropped: 0,
+                digest: 0xcbf2_9ce4_8422_2325,
+                relay,
+                last_seq: None,
+                fresh_attach: true,
+                online: true,
+                final_stats: None,
+            }),
+        }
+    }
+
+    /// Drain what subscriber `name` holds on its parent surface, and when
+    /// that batch departs: frames from the origin hub leave `now`, frames
+    /// from a relay tier leave when the tier's last uplink batch landed.
+    fn recv(
+        &self,
+        parent: Option<usize>,
+        name: &str,
+        now: SimTime,
+    ) -> (Vec<MonitorFrame<'static>>, SimTime) {
+        match parent {
+            None => (self.mhub.recv(name), now),
+            Some(p) => {
+                let tier = &self.relays[p];
+                (tier.hub.recv_child(name), tier.arrival.unwrap_or(now))
+            }
+        }
+    }
+
+    /// Apply every staged bus batch atomically at a step boundary:
+    /// commands flow through the origin's session shard (master/bounds
+    /// checks, audit events) and into the backend, in global staging
+    /// order.
+    fn commit(&mut self, now: SimTime) {
+        if self.hub.pending() == 0 {
+            return;
+        }
+        self.hub.commit_with(|batch, cmd| {
+            let resolved = self
+                .shard_of
+                .get(&batch.origin)
+                .copied()
+                .and_then(|s| self.sessions[s].index_of(&batch.origin).map(|idx| (s, idx)));
+            match resolved {
+                // refusals are already in the session audit log
+                Some((s, idx)) => self.sessions[s]
+                    .steer_value(idx, &cmd.param, &cmd.value)
+                    .inspect(|applied| {
+                        self.backend.apply_steer(&cmd.param, applied);
+                        self.steers_applied += 1;
+                    }),
+                None => {
+                    self.steers_lost += 1;
+                    self.events
+                        .push(format!("{now} steer-sender-left {}", batch.origin));
+                    Err("sender left before commit".into())
+                }
+            }
+        });
+    }
+
+    /// One sample tick, unless the process is dead or migrating. The
+    /// layers run in a fixed order: commit → advance → broadcast →
+    /// participant links → publish → relay pump → viewer links →
+    /// checkpoint cut.
+    fn tick(&mut self, now: SimTime) {
+        let s = self.s;
+        if now + s.sample_every <= s.duration {
+            self.queue.schedule(now + s.sample_every, Ev::Sample);
+        }
+        if self.crashed || now < self.pause_until {
+            self.skipped += 1;
+            return;
+        }
+        self.commit(now);
+        // oracle probe: the steering invariant — exactly one master per
+        // non-empty shard — must hold at every observable step boundary
+        for (si, session) in self.sessions.iter().enumerate() {
+            let masters = session.master_count();
+            if masters != usize::from(!session.is_empty()) {
+                self.probe_violations.push(format!(
+                    "{now} shard {si}: {masters} masters among {} participants",
+                    session.len()
+                ));
+            }
+        }
+        self.backend.advance(s.steps_per_sample);
+        let bytes = self.backend.sample_bytes();
+        for session in self.sessions.iter_mut() {
+            session.broadcast_sample(bytes);
+        }
+        self.broadcasts += 1;
+        let mut earliest: Option<SimTime> = None;
+        let mut latest: Option<SimTime> = None;
+        for c in self.clients.iter_mut().filter(|c| c.online) {
+            if let Some(arrival) = c.link.deliver(now, bytes) {
+                self.post.record(arrival.saturating_since(now));
+                earliest = Some(earliest.map_or(arrival, |e| e.min(arrival)));
+                latest = Some(latest.map_or(arrival, |l| l.max(arrival)));
+            }
+        }
+        if let (Some(lo), Some(hi)) = (earliest, latest) {
+            self.post.record_skew(hi.saturating_since(lo));
+        }
+        // the data plane: one published batch per step boundary, fanned
+        // out per negotiated caps. Viewer-less scenarios skip it —
+        // sampling the monitor surface costs full-lattice passes.
+        if !self.viewers.is_empty() || !self.relays.is_empty() {
+            self.backend.publish_monitor(&self.mhub);
+        }
+        self.pump_relays(now);
+        self.feed_viewers(now);
+        self.cut_checkpoint(now);
+    }
+
+    /// Relay tick, top-down (parents precede children by declaration):
+    /// drain each tier's collector, ship the whole batch as one envelope
+    /// over the faulted uplink, and on arrival fan it out to the tier's
+    /// children.
+    fn pump_relays(&mut self, now: SimTime) {
+        for i in 0..self.relays.len() {
+            let (frames, depart) = self.recv(self.relays[i].parent, &self.relays[i].name, now);
+            if frames.is_empty() {
+                continue;
+            }
+            let bytes: usize = frames.iter().map(|f| f.wire_size()).sum();
+            let tier = &mut self.relays[i];
+            match tier.uplink.deliver(depart, bytes) {
+                Some(arrival) => {
+                    tier.arrival = Some(arrival);
+                    tier.hub.ingest(&frames);
+                }
+                None => tier.uplink_dropped += frames.len() as u64,
+            }
+        }
+    }
+
+    /// Each online viewer's admitted frames ride its faulted link, every
+    /// arrival scored against that viewer's budget and folded into its
+    /// digest.
+    fn feed_viewers(&mut self, now: SimTime) {
+        for i in 0..self.viewers.len() {
+            if !self.viewers[i].online {
+                continue;
+            }
+            let (frames, depart) = self.recv(self.viewers[i].relay, &self.viewers[i].name, now);
+            let v = &mut self.viewers[i];
+            let had_frames = !frames.is_empty();
+            for frame in frames {
+                match v.link.deliver(depart, frame.wire_size()) {
+                    Some(arrival) => {
+                        // oracle probe: hub seqs must reach a subscriber
+                        // strictly increasing (gaps from decimation/loss
+                        // are fine)
+                        if let Some(prev) = v.last_seq.filter(|_| !v.fresh_attach) {
+                            if frame.seq <= prev {
+                                self.probe_violations.push(format!(
+                                    "{now} viewer {}: seq {} after {}",
+                                    v.name, frame.seq, prev
+                                ));
                             }
-                            None => relays[i].uplink_dropped += frames.len() as u64,
                         }
+                        v.last_seq = Some(frame.seq);
+                        v.monitor.record(arrival.saturating_since(now));
+                        v.delivered += 1;
+                        v.digest = frame.fold_fnv(v.digest);
                     }
-                    for v in viewers.iter_mut() {
-                        if !v.online {
-                            continue;
-                        }
-                        let (frames, depart) = match v.relay {
-                            None => (mhub.recv(&v.name), now),
-                            Some(i) => (
-                                relays[i].hub.recv_child(&v.name),
-                                relays[i].arrival.unwrap_or(now),
-                            ),
-                        };
-                        let had_frames = !frames.is_empty();
-                        for frame in frames {
-                            match v.link.deliver(depart, frame.wire_size()) {
-                                Some(arrival) => {
-                                    // oracle probe: hub seqs must reach a
-                                    // subscriber strictly increasing
-                                    // (gaps from decimation/loss are fine)
-                                    if !v.fresh_attach {
-                                        if let Some(prev) = v.last_seq {
-                                            if frame.seq <= prev {
-                                                probe_violations.push(format!(
-                                                    "{now} viewer {}: seq {} after {}",
-                                                    v.name, frame.seq, prev
-                                                ));
-                                            }
-                                        }
-                                    }
-                                    v.last_seq = Some(frame.seq);
-                                    v.monitor.record(arrival.saturating_since(now));
-                                    v.delivered += 1;
-                                    v.digest = frame.fold_fnv(v.digest);
+                    None => v.dropped += 1,
+                }
+            }
+            if had_frames {
+                v.fresh_attach = false;
+            }
+        }
+    }
+
+    /// Checkpoint cut, at the very end of a due tick: the boundary state
+    /// (post-commit, post-advance, post-fanout, queues drained) is exactly
+    /// what a restore resumes from. Cutting reads state under locks and
+    /// nothing else — no RNG draws, no events. The snapshot holds the
+    /// backend fields (raw float bits), the steer hub, every session
+    /// shard, the monitor hub and each relay tier.
+    fn cut_checkpoint(&mut self, now: SimTime) {
+        let Some(interval) = self.s.checkpoint_every else {
+            return;
+        };
+        if now < self.last_ckpt.map_or(interval, |t| t + interval) {
+            return;
+        }
+        let mut snap = Snapshot::new(self.chain.len() as u64, now.as_nanos());
+        self.backend.save_sections(&mut snap);
+        self.hub.save_sections(&mut snap, "steer");
+        for (i, session) in self.sessions.iter().enumerate() {
+            session.save_sections(&mut snap, &format!("session/{i}"));
+        }
+        self.mhub.save_sections(&mut snap, "monitor");
+        for r in &self.relays {
+            r.hub.save_sections(&mut snap, &format!("relay/{}", r.name));
+        }
+        let blob = match &self.last_snap {
+            None => snap.encode(),
+            Some(base) => snap.encode_delta(base),
+        };
+        self.chain.push(blob);
+        self.last_snap = Some(snap);
+        self.last_ckpt = Some(now);
+    }
+
+    /// Rebuild the crashed process from its checkpoint chain: decode the
+    /// full snapshot, apply every delta, then restore state behind the
+    /// existing shared handles. Steering clients and monitor viewers
+    /// reconnect — fresh endpoints over their declared transports,
+    /// negotiated against the *saved* capability sets — so sequence
+    /// numbering and delivery schedules continue exactly where the
+    /// checkpoint cut them. Draws no randomness and logs nothing: recovery
+    /// from an up-to-date checkpoint is invisible in the report.
+    fn restore(&mut self) {
+        // `validate` guarantees a due tick before the crash; only a
+        // migration pause over every due tick leaves the chain empty
+        let head = self
+            .chain
+            .first()
+            .expect("restore: a migration pause skipped every checkpoint before the crash");
+        let mut snap = Snapshot::decode(head).expect("checkpoint chain head decodes");
+        for delta in &self.chain[1..] {
+            snap = Snapshot::decode_delta(delta, &snap).expect("checkpoint delta chain applies");
+        }
+        self.backend
+            .restore_sections(&snap)
+            .expect("backend state restores");
+        self.hub
+            .restore_sections(&snap, "steer")
+            .expect("steer hub restores");
+        for (i, session) in self.sessions.iter_mut().enumerate() {
+            *session = SteeringSession::restore_sections(
+                &snap,
+                &format!("session/{i}"),
+                self.hub.registry(),
+            )
+            .expect("session shard restores");
+        }
+        // the steering clients are remote and reconnect: fresh endpoints,
+        // re-subscribed to the restored hub (the old subscriptions died
+        // with the process). The handshake is the one the original attach
+        // negotiated, so nothing new reaches the report.
+        let mut endpoints = std::mem::take(&mut self.endpoints);
+        for (name, ep) in endpoints.iter_mut() {
+            *ep = self.connect(name).0;
+        }
+        self.endpoints = endpoints;
+        // monitor side: viewers reconnect over their declared transports,
+        // relay tiers re-feed through loopback collectors; both negotiate
+        // against the saved caps inside restore_sections
+        let viewers = &self.viewers;
+        let mut resolver = |sub: &str, _caps: &MonitorCaps| -> Box<dyn MonitorEndpoint> {
+            match viewers.iter().find(|v| v.name == sub) {
+                Some(v) => v.kind.attach_monitor(sub),
+                None => Box::new(LoopbackMonitor::new()),
+            }
+        };
+        self.mhub
+            .restore_sections(&snap, "monitor", &mut resolver)
+            .expect("monitor hub restores");
+        for r in &self.relays {
+            r.hub
+                .restore_sections(&snap, &format!("relay/{}", r.name), &mut resolver)
+                .expect("relay tier restores");
+        }
+        // a stale restore rewinds hub seq numbering — the first delivery
+        // batch each viewer sees afterwards may replay seqs, which is
+        // recovery, not a monotonicity violation
+        for v in self.viewers.iter_mut() {
+            v.last_seq = None;
+            v.fresh_attach = true;
+        }
+        self.crashed = false;
+    }
+
+    /// A steer command survived its link: ship it through the sender's
+    /// endpoint, staged until the next step boundary.
+    fn stage(&mut self, now: SimTime, who: &str, param: &str, value: ParamValue) {
+        let joined = self
+            .shard_of
+            .get(who)
+            .is_some_and(|&s| self.sessions[s].index_of(who).is_some());
+        match self.endpoints.get_mut(who) {
+            Some(ep) if joined => {
+                if let Err(e) = ep.set_batch(vec![SteerCommand::new(param, value)]) {
+                    self.steers_lost += 1;
+                    self.events
+                        .push(format!("{now} steer-unroutable {who} {param}: {e}"));
+                }
+            }
+            _ => {
+                self.steers_lost += 1;
+                self.events.push(format!("{now} steer-sender-left {who}"));
+            }
+        }
+    }
+
+    /// Apply a link fault to the target named `who` — participants,
+    /// viewers and relay uplinks share one name space (participants win a
+    /// collision, then viewers) — and log it as `what`, or log a miss.
+    fn fault(
+        &mut self,
+        now: SimTime,
+        who: &str,
+        what: fmt::Arguments<'_>,
+        apply: impl FnOnce(&mut FaultyLink),
+    ) {
+        let link = self
+            .clients
+            .iter_mut()
+            .find(|c| c.name == who)
+            .map(|c| &mut c.link)
+            .or_else(|| {
+                self.viewers
+                    .iter_mut()
+                    .find(|v| v.name == who)
+                    .map(|v| &mut v.link)
+            })
+            .or_else(|| {
+                self.relays
+                    .iter_mut()
+                    .find(|r| r.name == who)
+                    .map(|r| &mut r.uplink)
+            });
+        match link {
+            Some(link) => {
+                apply(link);
+                self.events.push(format!("{now} {what}"));
+            }
+            None => self.events.push(format!("{now} fault-miss {who}")),
+        }
+    }
+
+    /// Apply one scripted action at `now`.
+    fn act(&mut self, now: SimTime, action: &Action) {
+        match action {
+            Action::Join { name, link } => self.join(now, name, link),
+            Action::Leave { name } => {
+                let left = self
+                    .shard_of
+                    .get(name)
+                    .is_some_and(|&s| self.sessions[s].leave_by_name(name));
+                if !left {
+                    self.events.push(format!("{now} leave-miss {name}"));
+                } else if let Some(c) = self.clients.iter_mut().find(|c| c.name == *name) {
+                    c.online = false;
+                }
+            }
+            Action::PassMaster { from, to } => {
+                match (self.shard_of.get(from), self.shard_of.get(to)) {
+                    // shards own disjoint participant sets: the token never
+                    // crosses a shard boundary
+                    (Some(a), Some(b)) if a != b => {
+                        self.events
+                            .push(format!("{now} pass-shard-miss {from}->{to}"));
+                    }
+                    (Some(&a), Some(_)) => {
+                        let session = &mut self.sessions[a];
+                        match (session.index_of(from), session.index_of(to)) {
+                            (Some(f), Some(t)) => {
+                                if !session.pass_master(f, t) {
+                                    self.events.push(format!("{now} pass-refused {from}->{to}"));
                                 }
-                                None => v.dropped += 1,
                             }
-                        }
-                        if had_frames {
-                            v.fresh_attach = false;
+                            _ => self.events.push(format!("{now} pass-miss {from}->{to}")),
                         }
                     }
-                    // checkpoint cut, at the very end of the tick: the
-                    // boundary state (post-commit, post-advance,
-                    // post-fanout, queues drained) is exactly what a
-                    // restore resumes from. Cutting reads state under
-                    // locks and nothing else — no RNG draws, no events.
-                    if let Some(interval) = self.checkpoint_every {
-                        let due = last_ckpt.map_or(interval, |t| t + interval);
-                        if now >= due {
-                            let mut snap = Snapshot::new(ckpt_chain.len() as u64, now.as_nanos());
-                            save_process(
-                                &mut snap,
-                                backend.as_ref(),
-                                &hub,
-                                &sessions,
-                                &mhub,
-                                &relays,
-                            );
-                            let blob = match &last_snap {
-                                None => snap.encode(),
-                                Some(base) => snap.encode_delta(base),
-                            };
-                            ckpt_chain.push(blob);
-                            last_snap = Some(snap);
-                            last_ckpt = Some(now);
-                        }
+                    _ => self.events.push(format!("{now} pass-miss {from}->{to}")),
+                }
+            }
+            Action::Steer { who, param, value } => {
+                let sender = self.clients.iter_mut().find(|c| c.name == *who && c.online);
+                match sender.map(|c| c.link.deliver(now, STEER_BYTES)) {
+                    Some(Some(arrival)) => {
+                        self.queue.schedule(
+                            arrival,
+                            Ev::ApplySteer {
+                                who: who.clone(),
+                                param: param.clone(),
+                                value: value.clone(),
+                            },
+                        );
+                    }
+                    Some(None) => {
+                        self.steers_lost += 1;
+                        self.events.push(format!("{now} steer-lost {who} {param}"));
+                    }
+                    None => {
+                        self.steers_lost += 1;
+                        self.events
+                            .push(format!("{now} steer-offline {who} {param}"));
                     }
                 }
-                Ev::Act(i) => {
-                    let action = self.actions[i].1.clone();
-                    apply_action(ActionCtx {
-                        action,
-                        now,
-                        clients: &mut clients,
-                        viewers: &mut viewers,
-                        relays: &mut relays,
-                        mhub: &mhub,
-                        sessions: &mut sessions,
-                        shard_of: &mut shard_of,
-                        next_shard: &mut next_shard,
-                        backend: backend.as_mut(),
-                        queue: &mut queue,
-                        rng: &mut rng,
-                        net: &net,
-                        sites: &sites,
-                        engine_events: &mut engine_events,
-                        migrations: &mut migrations,
-                        steers_lost: &mut steers_lost,
-                        pause_until: &mut pause_until,
-                        endpoints: &mut endpoints,
-                        hub: &hub,
-                        transports: &self.transports,
-                        crashed: &mut crashed,
-                        ckpt_chain: &ckpt_chain,
+            }
+            Action::Partition { who } => {
+                self.fault(now, who, format_args!("partition {who}"), |l| l.partition())
+            }
+            Action::Heal { who } => self.fault(now, who, format_args!("heal {who}"), |l| l.heal()),
+            Action::SetLoss { who, ppm } => {
+                self.fault(now, who, format_args!("loss {who} {ppm}ppm"), |l| {
+                    l.set_extra_loss_ppm(*ppm)
+                })
+            }
+            Action::SetJitter { who, jitter } => {
+                self.fault(now, who, format_args!("jitter {who} {jitter}"), |l| {
+                    l.set_extra_jitter(*jitter)
+                })
+            }
+            Action::Migrate { from, to } => match (self.sites.get(from), self.sites.get(to)) {
+                (Some(&a), Some(&b)) => {
+                    let bytes = self.backend.checkpoint_roundtrip();
+                    let mut link = self.net.link(a, b);
+                    link.seed = self.rng.next_u64();
+                    let arrival = link
+                        .deliver(now, bytes)
+                        .unwrap_or_else(|| link.nominal_arrival(now, bytes));
+                    let gap = arrival.saturating_since(now) + RESTART_OVERHEAD;
+                    self.pause_until = (now + gap).max(self.pause_until);
+                    self.events.push(format!(
+                        "{now} migrate {from}->{to} bytes={bytes} gap={gap}"
+                    ));
+                    self.migrations.push(MigrationRecord {
+                        from: from.clone(),
+                        to: to.clone(),
+                        bytes,
+                        gap,
                     });
                 }
-                Ev::ApplySteer { who, param, value } => {
-                    match shard_of.get(&who).and_then(|&s| sessions[s].index_of(&who)) {
-                        Some(_) => {
-                            let ep = endpoints
-                                .get_mut(&who)
-                                .expect("joined participants have endpoints");
-                            // ship through the middleware; staged until the
-                            // next step boundary
-                            if let Err(e) = ep.set_batch(vec![SteerCommand::new(&param, value)]) {
-                                steers_lost += 1;
-                                engine_events
-                                    .push(format!("{now} steer-unroutable {who} {param}: {e}"));
-                            }
-                        }
-                        None => {
-                            steers_lost += 1;
-                            engine_events.push(format!("{now} steer-sender-left {who}"));
-                        }
+                _ => self.events.push(format!("{now} migrate-miss {from}->{to}")),
+            },
+            Action::ViewerLeave { name } => {
+                match self
+                    .viewers
+                    .iter_mut()
+                    .find(|v| v.name == *name && v.online)
+                {
+                    Some(v) => {
+                        v.final_stats = match v.relay {
+                            None => self.mhub.detach(name),
+                            Some(i) => self.relays[i].hub.detach_child(name),
+                        };
+                        v.online = false;
+                        self.events.push(format!("{now} viewer-leave {name}"));
                     }
+                    None => self.events.push(format!("{now} viewer-leave-miss {name}")),
+                }
+            }
+            // the process dies silently: no event, no counter — transparent
+            // recovery means the report cannot record the crash itself
+            Action::Crash => self.crashed = true,
+            Action::Restore => self.restore(),
+            Action::ViewerJoin {
+                name,
+                link,
+                transport,
+                relay,
+            } => {
+                if self.viewers.iter().any(|v| v.name == *name && v.online) {
+                    self.events.push(format!("{now} viewer-join-miss {name}"));
+                } else {
+                    let spec = ViewerSpec {
+                        name: name.clone(),
+                        link: link.clone(),
+                        transport: *transport,
+                        budget: LoopBudget::DesktopRender,
+                        every: 1,
+                        relay: relay.clone(),
+                    };
+                    self.attach_viewer(now, &spec);
                 }
             }
         }
+    }
 
-        // trailing boundary: steers arriving after the last sample tick
-        // still commit before the report is cut
-        commit_staged(
-            &hub,
-            &mut sessions,
-            &shard_of,
-            backend.as_mut(),
-            &mut steers_applied,
-            &mut steers_lost,
-            &mut engine_events,
-            self.duration,
-        );
-
-        let mut latencies = post.samples().to_vec();
+    /// Commit steers that arrived after the last sample tick, then cut
+    /// the report.
+    fn finish(mut self) -> ScenarioReport {
+        let s = self.s;
+        self.commit(s.duration);
+        let mut latencies = self.post.samples().to_vec();
         latencies.sort();
         let pct = |q: f64| -> SimTime {
             if latencies.is_empty() {
@@ -1330,16 +1758,17 @@ impl Scenario {
                 latencies[((latencies.len() - 1) as f64 * q).round() as usize]
             }
         };
-        let loop_report = post.report();
-        let viewer_records: Vec<ViewerRecord> = viewers
+        let loop_report = self.post.report();
+        let viewers = self
+            .viewers
             .iter()
             .map(|v| {
                 let lr = v.monitor.report();
                 // detached viewers report the stats frozen at leave time
                 let stats = v.final_stats.unwrap_or_else(|| {
                     match v.relay {
-                        None => mhub.stats_of(&v.name),
-                        Some(i) => relays[i].hub.stats_of_child(&v.name),
+                        None => self.mhub.stats_of(&v.name),
+                        Some(i) => self.relays[i].hub.stats_of_child(&v.name),
                     }
                     .unwrap_or_default()
                 });
@@ -1357,13 +1786,14 @@ impl Scenario {
                 }
             })
             .collect();
-        let relay_records: Vec<RelayRecord> = relays
+        let relays = self
+            .relays
             .iter()
             .map(|r| {
                 let rep = r.hub.report();
                 RelayRecord {
                     name: r.name.clone(),
-                    parent: r.parent.map(|p| relays[p].name.clone()),
+                    parent: r.parent.map(|p| self.relays[p].name.clone()),
                     ingested: rep.ingested,
                     forwarded: rep.forwarded,
                     decimated: rep.decimated,
@@ -1373,25 +1803,27 @@ impl Scenario {
                 }
             })
             .collect();
-        let session_events: Vec<String> = if self.shards == 1 {
-            sessions[0].events().iter().map(render_event).collect()
+        let session_events = if s.shards == 1 {
+            self.sessions[0].events().iter().map(render_event).collect()
         } else {
-            sessions
+            self.sessions
                 .iter()
                 .enumerate()
-                .flat_map(|(i, s)| {
-                    s.events()
+                .flat_map(|(i, session)| {
+                    session
+                        .events()
                         .iter()
                         .map(move |e| format!("s{i} {}", render_event(e)))
                 })
                 .collect()
         };
+        self.probe_violations.extend(self.hub.probe_violations());
         ScenarioReport {
-            name: self.name.clone(),
-            seed: self.seed,
-            backend: backend.kind(),
-            broadcasts,
-            broadcasts_skipped: skipped,
+            name: s.name.clone(),
+            seed: s.seed,
+            backend: self.backend.kind(),
+            broadcasts: self.broadcasts,
+            broadcasts_skipped: self.skipped,
             p50: pct(0.5),
             p90: pct(0.9),
             p99: pct(0.99),
@@ -1400,584 +1832,21 @@ impl Scenario {
             within_budget: loop_report.within_budget,
             within_skew: loop_report.within_skew,
             post_budget_violations: loop_report.violations,
-            steers_applied,
-            steers_lost,
-            monitor_frames: mhub.frames_published(),
-            viewers: viewer_records,
-            relays: relay_records,
-            migrations,
-            links: clients
+            steers_applied: self.steers_applied,
+            steers_lost: self.steers_lost,
+            monitor_frames: self.mhub.frames_published(),
+            viewers,
+            relays,
+            migrations: self.migrations,
+            links: self
+                .clients
                 .iter()
                 .map(|c| (c.name.clone(), c.total_stats()))
                 .collect(),
             session_events,
-            engine_events,
-            final_progress: backend.progress(),
-            probe_violations: {
-                probe_violations.extend(hub.probe_violations());
-                probe_violations
-            },
-        }
-    }
-}
-
-/// Everything one action application touches (bundled to keep the
-/// dispatcher signature sane).
-struct ActionCtx<'a> {
-    action: Action,
-    now: SimTime,
-    clients: &'a mut Vec<Client>,
-    viewers: &'a mut Vec<ViewerState>,
-    relays: &'a mut Vec<RelayNode>,
-    mhub: &'a MonitorHub,
-    sessions: &'a mut Vec<SteeringSession>,
-    shard_of: &'a mut BTreeMap<String, usize>,
-    next_shard: &'a mut usize,
-    backend: &'a mut dyn ScenarioBackend,
-    queue: &'a mut EventQueue<Ev>,
-    rng: &'a mut StdRng,
-    net: &'a NetModel,
-    sites: &'a std::collections::HashMap<String, netsim::SiteId>,
-    engine_events: &'a mut Vec<String>,
-    migrations: &'a mut Vec<MigrationRecord>,
-    steers_lost: &'a mut u64,
-    pause_until: &'a mut SimTime,
-    endpoints: &'a mut BTreeMap<String, Box<dyn SteerEndpoint>>,
-    hub: &'a SteerHub,
-    transports: &'a BTreeMap<String, Transport>,
-    crashed: &'a mut bool,
-    ckpt_chain: &'a [Vec<u8>],
-}
-
-fn apply_action(ctx: ActionCtx<'_>) {
-    let ActionCtx {
-        action,
-        now,
-        clients,
-        viewers,
-        relays,
-        mhub,
-        sessions,
-        shard_of,
-        next_shard,
-        backend,
-        queue,
-        rng,
-        net,
-        sites,
-        engine_events,
-        migrations,
-        steers_lost,
-        pause_until,
-        endpoints,
-        hub,
-        transports,
-        crashed,
-        ckpt_chain,
-    } = ctx;
-    match action {
-        Action::Join { name, link } => {
-            join_client(
-                JoinCtx {
-                    clients,
-                    sessions,
-                    shard_of,
-                    next_shard,
-                    endpoints,
-                    hub,
-                    transports,
-                    engine_events,
-                    now,
-                },
-                &name,
-                &link,
-                rng,
-            );
-        }
-        Action::Leave { name } => {
-            let left = shard_of
-                .get(&name)
-                .is_some_and(|&s| sessions[s].leave_by_name(&name));
-            if left {
-                if let Some(c) = clients.iter_mut().find(|c| c.name == name) {
-                    c.online = false;
-                }
-            } else {
-                engine_events.push(format!("{now} leave-miss {name}"));
-            }
-        }
-        Action::PassMaster { from, to } => {
-            match (shard_of.get(&from).copied(), shard_of.get(&to).copied()) {
-                (Some(a), Some(b)) if a != b => {
-                    // shards own disjoint participant sets: the token
-                    // never crosses a shard boundary
-                    engine_events.push(format!("{now} pass-shard-miss {from}->{to}"));
-                }
-                (Some(a), Some(_)) => {
-                    let session = &mut sessions[a];
-                    match (session.index_of(&from), session.index_of(&to)) {
-                        (Some(f), Some(t)) => {
-                            if !session.pass_master(f, t) {
-                                engine_events.push(format!("{now} pass-refused {from}->{to}"));
-                            }
-                        }
-                        _ => engine_events.push(format!("{now} pass-miss {from}->{to}")),
-                    }
-                }
-                _ => engine_events.push(format!("{now} pass-miss {from}->{to}")),
-            }
-        }
-        Action::Steer { who, param, value } => {
-            match clients.iter_mut().find(|c| c.name == who && c.online) {
-                Some(c) => match c.link.deliver(now, STEER_BYTES) {
-                    Some(arrival) => {
-                        queue.schedule(arrival, Ev::ApplySteer { who, param, value });
-                    }
-                    None => {
-                        *steers_lost += 1;
-                        engine_events.push(format!("{now} steer-lost {who} {param}"));
-                    }
-                },
-                None => {
-                    *steers_lost += 1;
-                    engine_events.push(format!("{now} steer-offline {who} {param}"));
-                }
-            }
-        }
-        Action::Partition { who } => match fault_link(clients, viewers, relays, &who) {
-            Some(link) => {
-                link.partition();
-                engine_events.push(format!("{now} partition {who}"));
-            }
-            None => engine_events.push(format!("{now} fault-miss {who}")),
-        },
-        Action::Heal { who } => match fault_link(clients, viewers, relays, &who) {
-            Some(link) => {
-                link.heal();
-                engine_events.push(format!("{now} heal {who}"));
-            }
-            None => engine_events.push(format!("{now} fault-miss {who}")),
-        },
-        Action::SetLoss { who, ppm } => match fault_link(clients, viewers, relays, &who) {
-            Some(link) => {
-                link.set_extra_loss_ppm(ppm);
-                engine_events.push(format!("{now} loss {who} {ppm}ppm"));
-            }
-            None => engine_events.push(format!("{now} fault-miss {who}")),
-        },
-        Action::SetJitter { who, jitter } => match fault_link(clients, viewers, relays, &who) {
-            Some(link) => {
-                link.set_extra_jitter(jitter);
-                engine_events.push(format!("{now} jitter {who} {jitter}"));
-            }
-            None => engine_events.push(format!("{now} fault-miss {who}")),
-        },
-        Action::Migrate { from, to } => match (sites.get(&from), sites.get(&to)) {
-            (Some(&a), Some(&b)) => {
-                let bytes = backend.checkpoint_roundtrip();
-                let mut link = net.link(a, b);
-                link.seed = rng.next_u64();
-                let arrival = link
-                    .deliver(now, bytes)
-                    .unwrap_or_else(|| link.nominal_arrival(now, bytes));
-                let gap = arrival.saturating_since(now) + RESTART_OVERHEAD;
-                *pause_until = (now + gap).max(*pause_until);
-                engine_events.push(format!(
-                    "{now} migrate {from}->{to} bytes={bytes} gap={gap}"
-                ));
-                migrations.push(MigrationRecord {
-                    from,
-                    to,
-                    bytes,
-                    gap,
-                });
-            }
-            _ => engine_events.push(format!("{now} migrate-miss {from}->{to}")),
-        },
-        Action::ViewerLeave { name } => {
-            match viewers.iter_mut().find(|v| v.name == name && v.online) {
-                Some(v) => {
-                    v.final_stats = match v.relay {
-                        None => mhub.detach(&name),
-                        Some(i) => relays[i].hub.detach_child(&name),
-                    };
-                    v.online = false;
-                    engine_events.push(format!("{now} viewer-leave {name}"));
-                }
-                None => engine_events.push(format!("{now} viewer-leave-miss {name}")),
-            }
-        }
-        Action::Crash => {
-            // the process dies silently: no event, no counter — transparent
-            // recovery means the report cannot record the crash itself
-            *crashed = true;
-        }
-        Action::Restore => {
-            assert!(*crashed, "restore_at without a preceding crash_at");
-            restore_process(RestoreCtx {
-                chain: ckpt_chain,
-                backend,
-                hub,
-                sessions,
-                endpoints,
-                transports,
-                mhub,
-                relays,
-                viewers,
-            });
-            // a stale restore rewinds hub seq numbering — the first
-            // delivery batch each viewer sees afterwards may replay
-            // seqs, which is recovery, not a monotonicity violation
-            for v in viewers.iter_mut() {
-                v.last_seq = None;
-                v.fresh_attach = true;
-            }
-            *crashed = false;
-        }
-        Action::ViewerJoin {
-            name,
-            link,
-            transport,
-            relay,
-        } => {
-            let known_relay = relay
-                .as_ref()
-                .is_none_or(|r| relays.iter().any(|n| n.name == *r));
-            if viewers.iter().any(|v| v.name == name && v.online) || !known_relay {
-                engine_events.push(format!("{now} viewer-join-miss {name}"));
-            } else {
-                attach_viewer(
-                    viewers,
-                    mhub,
-                    relays,
-                    engine_events,
-                    rng,
-                    &ViewerSpec {
-                        name,
-                        link,
-                        transport,
-                        budget: LoopBudget::DesktopRender,
-                        every: 1,
-                        relay,
-                    },
-                    now,
-                );
-            }
-        }
-    }
-}
-
-/// Serialize the whole simulation-process state into one snapshot:
-/// backend fields (raw float bits), the steer hub (registry, staged
-/// batches, counters), every session shard, the monitor hub and each
-/// relay tier. Pure reads — the running state is not perturbed.
-fn save_process(
-    snap: &mut Snapshot,
-    backend: &dyn ScenarioBackend,
-    hub: &SteerHub,
-    sessions: &[SteeringSession],
-    mhub: &MonitorHub,
-    relays: &[RelayNode],
-) {
-    backend.save_sections(snap);
-    hub.save_sections(snap, "steer");
-    for (i, s) in sessions.iter().enumerate() {
-        s.save_sections(snap, &format!("session/{i}"));
-    }
-    mhub.save_sections(snap, "monitor");
-    for r in relays {
-        r.hub.save_sections(snap, &format!("relay/{}", r.name));
-    }
-}
-
-/// Everything a process restore rebuilds.
-struct RestoreCtx<'a> {
-    chain: &'a [Vec<u8>],
-    backend: &'a mut dyn ScenarioBackend,
-    hub: &'a SteerHub,
-    sessions: &'a mut [SteeringSession],
-    endpoints: &'a mut BTreeMap<String, Box<dyn SteerEndpoint>>,
-    transports: &'a BTreeMap<String, Transport>,
-    mhub: &'a MonitorHub,
-    relays: &'a [RelayNode],
-    viewers: &'a [ViewerState],
-}
-
-/// Rebuild the crashed process from its checkpoint chain: decode the
-/// full snapshot, apply every delta, then restore state behind the
-/// existing shared handles (backend in place, hub registry and state,
-/// session shards, monitor hub, relay tiers). Steering clients and
-/// monitor viewers reconnect — fresh endpoints over their declared
-/// transports, negotiated against the *saved* capability sets — so
-/// sequence numbering and delivery schedules continue exactly where the
-/// checkpoint cut them. Draws no randomness and logs nothing: recovery
-/// from an up-to-date checkpoint is invisible in the report.
-fn restore_process(ctx: RestoreCtx<'_>) {
-    let RestoreCtx {
-        chain,
-        backend,
-        hub,
-        sessions,
-        endpoints,
-        transports,
-        mhub,
-        relays,
-        viewers,
-    } = ctx;
-    assert!(
-        !chain.is_empty(),
-        "restore_at: no checkpoint was cut — set checkpoint_every on the scenario"
-    );
-    let mut snap = Snapshot::decode(&chain[0]).expect("checkpoint chain head decodes");
-    for delta in &chain[1..] {
-        snap = Snapshot::decode_delta(delta, &snap).expect("checkpoint delta chain applies");
-    }
-    backend
-        .restore_sections(&snap)
-        .expect("backend state restores");
-    hub.restore_sections(&snap, "steer")
-        .expect("steer hub restores");
-    for (i, s) in sessions.iter_mut().enumerate() {
-        *s = SteeringSession::restore_sections(&snap, &format!("session/{i}"), hub.registry())
-            .expect("session shard restores");
-    }
-    // the steering clients are remote and reconnect: fresh endpoints,
-    // re-subscribed to the restored hub (the old subscriptions died with
-    // the process). The handshake is the same one the original attach
-    // negotiated, so nothing new reaches the report.
-    for (name, ep) in endpoints.iter_mut() {
-        let transport = transports.get(name).copied().unwrap_or_default();
-        let mut fresh = transport.attach(hub, name);
-        fresh.negotiate(&Capabilities::full("scenario-client", 64));
-        *ep = fresh;
-    }
-    // monitor side: relay tiers re-feed through loopback collectors,
-    // viewers reconnect over their declared transports; both negotiate
-    // against the saved caps inside restore_sections
-    let relay_names: Vec<&str> = relays.iter().map(|r| r.name.as_str()).collect();
-    let mut resolver = |sub: &str, _caps: &MonitorCaps| -> Box<dyn MonitorEndpoint> {
-        if relay_names.contains(&sub) {
-            Box::new(LoopbackMonitor::new())
-        } else {
-            viewers
-                .iter()
-                .find(|v| v.name == sub)
-                .map(|v| v.kind.attach_monitor(sub))
-                .unwrap_or_else(|| Box::new(LoopbackMonitor::new()))
-        }
-    };
-    mhub.restore_sections(&snap, "monitor", &mut resolver)
-        .expect("monitor hub restores");
-    for r in relays {
-        r.hub
-            .restore_sections(&snap, &format!("relay/{}", r.name), &mut resolver)
-            .expect("relay tier restores");
-    }
-}
-
-/// Resolve a fault-action target: participants, viewers, and relay
-/// uplinks share one name space for link faults (participants win a
-/// collision, then viewers).
-fn fault_link<'a>(
-    clients: &'a mut [Client],
-    viewers: &'a mut [ViewerState],
-    relays: &'a mut [RelayNode],
-    who: &str,
-) -> Option<&'a mut FaultyLink> {
-    if let Some(c) = clients.iter_mut().find(|c| c.name == who) {
-        return Some(&mut c.link);
-    }
-    if let Some(v) = viewers.iter_mut().find(|v| v.name == who) {
-        return Some(&mut v.link);
-    }
-    relays
-        .iter_mut()
-        .find(|r| r.name == who)
-        .map(|r| &mut r.uplink)
-}
-
-/// Attach (or re-attach) a monitor viewer at the origin hub or under a
-/// relay tier, logging the capability handshake and deriving the link's
-/// deterministic streams from the scenario RNG. A re-attach after a
-/// [`Action::ViewerLeave`] reuses the viewer's record: delivery counters
-/// and the frame digest keep accumulating across connections.
-fn attach_viewer(
-    viewers: &mut Vec<ViewerState>,
-    mhub: &MonitorHub,
-    relays: &[RelayNode],
-    engine_events: &mut Vec<String>,
-    rng: &mut StdRng,
-    spec: &ViewerSpec,
-    now: SimTime,
-) {
-    let relay_idx = spec.relay.as_ref().map(|r| {
-        relays
-            .iter()
-            .position(|n| n.name == *r)
-            .unwrap_or_else(|| panic!("viewer {:?}: no relay named {r:?} declared", spec.name))
-    });
-    let caps = MonitorCaps::full("scenario-viewer", 64).every(spec.every);
-    let ep = spec.transport.attach_monitor(&spec.name);
-    let negotiated = match relay_idx {
-        None => mhub.attach_endpoint(&spec.name, ep, &caps),
-        Some(i) => relays[i].hub.attach_child(&spec.name, ep, &caps),
-    };
-    let via = match &spec.relay {
-        None => String::new(),
-        Some(r) => format!("via={r} "),
-    };
-    engine_events.push(format!(
-        "{} attach-viewer {} {}budget={} {}",
-        now,
-        spec.name,
-        via,
-        spec.budget.name(),
-        negotiated.render()
-    ));
-    let mut base = spec.link.clone();
-    base.seed = rng.next_u64();
-    let fault_seed = rng.next_u64();
-    let link = FaultyLink::new(base, fault_seed);
-    match viewers.iter_mut().find(|v| v.name == spec.name) {
-        Some(v) => {
-            v.link = link;
-            v.kind = spec.transport;
-            v.relay = relay_idx;
-            v.last_seq = None;
-            v.fresh_attach = true;
-            v.online = true;
-            v.final_stats = None;
-        }
-        None => viewers.push(ViewerState {
-            name: spec.name.clone(),
-            transport: spec.transport.label(),
-            kind: spec.transport,
-            budget: spec.budget,
-            link,
-            monitor: LoopMonitor::new(spec.budget),
-            delivered: 0,
-            dropped: 0,
-            digest: 0xcbf2_9ce4_8422_2325,
-            relay: relay_idx,
-            last_seq: None,
-            fresh_attach: true,
-            online: true,
-            final_stats: None,
-        }),
-    }
-}
-
-/// Apply every staged bus batch atomically at a step boundary: commands
-/// flow through the origin's session shard (master/bounds checks, audit
-/// events) and into the backend, in global staging order.
-#[allow(clippy::too_many_arguments)] // one call site, mirrors run()'s locals
-fn commit_staged(
-    hub: &SteerHub,
-    sessions: &mut [SteeringSession],
-    shard_of: &BTreeMap<String, usize>,
-    backend: &mut dyn ScenarioBackend,
-    steers_applied: &mut u64,
-    steers_lost: &mut u64,
-    engine_events: &mut Vec<String>,
-    now: SimTime,
-) {
-    if hub.pending() == 0 {
-        return;
-    }
-    hub.commit_with(|batch, cmd| {
-        let resolved = shard_of
-            .get(&batch.origin)
-            .copied()
-            .and_then(|s| sessions[s].index_of(&batch.origin).map(|idx| (s, idx)));
-        match resolved {
-            Some((s, idx)) => match sessions[s].steer_value(idx, &cmd.param, &cmd.value) {
-                Ok(applied) => {
-                    backend.apply_steer(&cmd.param, &applied);
-                    *steers_applied += 1;
-                    Ok(applied)
-                }
-                // refusals are already in the session audit log
-                Err(e) => Err(e),
-            },
-            None => {
-                *steers_lost += 1;
-                engine_events.push(format!("{now} steer-sender-left {}", batch.origin));
-                Err("sender left before commit".into())
-            }
-        }
-    });
-}
-
-/// Everything a join touches (session shards, link table, bus
-/// attachment).
-struct JoinCtx<'a> {
-    clients: &'a mut Vec<Client>,
-    sessions: &'a mut Vec<SteeringSession>,
-    shard_of: &'a mut BTreeMap<String, usize>,
-    next_shard: &'a mut usize,
-    endpoints: &'a mut BTreeMap<String, Box<dyn SteerEndpoint>>,
-    hub: &'a SteerHub,
-    transports: &'a BTreeMap<String, Transport>,
-    engine_events: &'a mut Vec<String>,
-    now: SimTime,
-}
-
-/// Join (or rejoin) a participant: session membership (first join
-/// assigns a shard round-robin; a rejoin returns to the same shard), a
-/// faulted link whose deterministic streams derive from the scenario
-/// RNG, and — on first join — a bus endpoint of the participant's routed
-/// transport, with its capability handshake logged (part of the report
-/// digest).
-fn join_client(ctx: JoinCtx<'_>, name: &str, link: &Link, rng: &mut StdRng) {
-    let JoinCtx {
-        clients,
-        sessions,
-        shard_of,
-        next_shard,
-        endpoints,
-        hub,
-        transports,
-        engine_events,
-        now,
-    } = ctx;
-    let shard = *shard_of.entry(name.to_string()).or_insert_with(|| {
-        let s = *next_shard % sessions.len();
-        *next_shard += 1;
-        s
-    });
-    let session = &mut sessions[shard];
-    if session.index_of(name).is_none() {
-        session.join(name);
-    }
-    if !endpoints.contains_key(name) {
-        let transport = transports.get(name).copied().unwrap_or_default();
-        let mut ep = transport.attach(hub, name);
-        let negotiated = ep.negotiate(&Capabilities::full("scenario-client", 64));
-        engine_events.push(format!("{now} attach {name} {}", negotiated.render()));
-        endpoints.insert(name.to_string(), ep);
-    }
-    let mut base = link.clone();
-    base.seed = rng.next_u64();
-    let fault_seed = rng.next_u64();
-    let fresh = FaultyLink::new(base, fault_seed);
-    match clients.iter_mut().find(|c| c.name == name) {
-        Some(c) => {
-            // a rejoin is a new connection: the given link replaces the old
-            // one, clearing any partition/loss/jitter state; delivery stats
-            // accumulate across connections
-            let old = c.link.stats();
-            c.prior_stats.delivered += old.delivered;
-            c.prior_stats.dropped += old.dropped;
-            c.link = fresh;
-            c.online = true;
-        }
-        None => {
-            clients.push(Client {
-                name: name.to_string(),
-                link: fresh,
-                online: true,
-                prior_stats: netsim::LinkStats::default(),
-            });
+            engine_events: self.events,
+            final_progress: self.backend.progress(),
+            probe_violations: self.probe_violations,
         }
     }
 }
@@ -2639,6 +2508,38 @@ mod tests {
             Err(E::RestoreWithoutCrash {
                 at: SimTime::from_millis(500)
             })
+        );
+        // the first cut lands on the 500ms tick, after the 300ms crash
+        assert_eq!(
+            tiny("early-restore")
+                .checkpoint_every(SimTime::from_millis(500))
+                .crash_at(SimTime::from_millis(300))
+                .restore_at(SimTime::from_millis(400))
+                .validate(),
+            Err(E::CrashBeforeFirstCheckpoint {
+                crash: SimTime::from_millis(300),
+                first_cut: SimTime::from_millis(500)
+            })
+        );
+        // a crash on the cut tick itself runs before that tick
+        assert_eq!(
+            tiny("crash-on-cut")
+                .checkpoint_every(SimTime::from_millis(250))
+                .crash_at(SimTime::from_millis(300))
+                .restore_at(SimTime::from_millis(400))
+                .validate(),
+            Err(E::CrashBeforeFirstCheckpoint {
+                crash: SimTime::from_millis(300),
+                first_cut: SimTime::from_millis(300)
+            })
+        );
+        assert_eq!(
+            tiny("crash-after-cut")
+                .checkpoint_every(SimTime::from_millis(250))
+                .crash_at(SimTime::from_millis(350))
+                .restore_at(SimTime::from_millis(400))
+                .validate(),
+            Ok(())
         );
         // order of builder calls must not matter: restore scheduled
         // before the crash textually, but after it in virtual time
