@@ -20,8 +20,8 @@
 //!
 //! [`snapshot_all`] runs the five gated workloads — LBM collide/stream
 //! (the scalar×SIMD / 1×8-thread matrix, whose four digests must agree),
-//! the exec-pool chunk kernel, the monitor publish path (owned vs
-//! borrowed, same digest), hub fan-out over encoding subscribers, and the
+//! the exec-pool chunk kernel, the monitor publish path (cold vs warm
+//! scratch, same digest), hub fan-out over encoding subscribers, and the
 //! checkpoint codec (full encode, delta encode, decode + restore).
 
 use gridsteer_bus::{MonitorCaps, MonitorEndpoint, MonitorError, MonitorFrame, MonitorHub};
@@ -220,11 +220,12 @@ impl MonitorEndpoint for FoldSink {
     }
 }
 
-/// The monitor publish path, owned vs borrowed payload construction. The
-/// two cells must produce the same delivered digest; the borrowed cell is
-/// the zero-copy steady state.
+/// The monitor publish path with a cold scratch buffer per publish (the
+/// field's capacity is allocated every sample) vs one retained buffer.
+/// The two cells must produce the same delivered digest; the borrowed cell
+/// is the zero-copy steady state.
 pub fn snap_monitor() -> GateReport {
-    use steer_core::{LbmMonitorAdapter, MonitorScratch};
+    use steer_core::MonitorSource;
     const PUBLISHES: usize = 60;
     let mut sim = lbm::TwoFluidLbm::new(lbm::LbmConfig {
         nx: 16,
@@ -242,21 +243,15 @@ pub fn snap_monitor() -> GateReport {
             Box::new(FoldSink::new()),
             &MonitorCaps::full("viewer", 64),
         );
-        let mut adapter = LbmMonitorAdapter::new();
-        let mut scratch = MonitorScratch::default();
         // warm-up publish (scratch takes capacity, hub takes shape)
-        if borrowed {
-            adapter.publish_borrowed(&sim, &hub, &mut scratch);
-        } else {
-            adapter.publish(&sim, &hub);
-        }
+        let mut scratch = Vec::new();
+        sim.publish(&hub, &mut scratch);
         let t0 = Instant::now();
         for _ in 0..PUBLISHES {
-            if borrowed {
-                adapter.publish_borrowed(&sim, &hub, &mut scratch);
-            } else {
-                adapter.publish(&sim, &hub);
+            if !borrowed {
+                scratch = Vec::new();
             }
+            sim.publish(&hub, &mut scratch);
         }
         let wall_us = t0.elapsed().as_secs_f64() * 1e6 / PUBLISHES as f64;
         // fold the delivered-frame accounting, not the sink's internal
@@ -279,7 +274,7 @@ pub fn snap_monitor() -> GateReport {
     let first = cells[0].digest.clone();
     assert!(
         cells.iter().all(|c| c.digest == first),
-        "owned and borrowed publish paths delivered different schedules: {cells:?}"
+        "cold- and warm-scratch publishes delivered different schedules: {cells:?}"
     );
     GateReport {
         id: "monitor".into(),

@@ -62,9 +62,12 @@ pub fn get_value(r: &mut SectionReader<'_>, what: &str) -> Result<ParamValue, Ck
 }
 
 /// Write a length-prefixed [`SteerCommand`] in its shared wire encoding.
+/// Commands reaching a checkpoint were staged by a hub, which validates
+/// them at stage time, so the encoder cannot refuse here.
 pub fn put_command(w: &mut SectionWriter, c: &SteerCommand) {
     let mut b = BytesMut::new();
-    c.encode_bytes(&mut b);
+    c.encode_bytes(&mut b)
+        .expect("staged commands passed SteerCommand::validate");
     w.put_bytes(&b);
 }
 

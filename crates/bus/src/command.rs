@@ -26,14 +26,30 @@ impl SteerCommand {
         SteerCommand::new(param, ParamValue::F64(value))
     }
 
+    /// Check that this command fits the `(name, value)` codec's u16 name
+    /// length field. `Ok(())` guarantees
+    /// [`encode_bytes`](SteerCommand::encode_bytes) succeeds.
+    pub(crate) fn validate(&self) -> Result<(), SteerError> {
+        if self.param.len() > u16::MAX as usize {
+            return Err(SteerError::NameTooLong {
+                len: self.param.len(),
+            });
+        }
+        Ok(())
+    }
+
     /// The shared `(name, value)` wire codec: u16-LE name length + UTF-8
-    /// name + tagged [`ParamValue`] bytes. Used by both the core TCP
-    /// server's `OP_BATCH` and the UNICORE `steer.cmd` job payload, so
-    /// the framing lives in exactly one place.
-    pub fn encode_bytes(&self, out: &mut BytesMut) {
+    /// name + tagged [`ParamValue`] bytes. Used by the core TCP server's
+    /// `OP_BATCH`, the UNICORE `steer.cmd` job payload and hub
+    /// checkpoints, so the framing lives in exactly one place. Refuses a
+    /// name the length field cannot carry (writing nothing) rather than
+    /// wrapping it and desyncing every byte that follows.
+    pub fn encode_bytes(&self, out: &mut BytesMut) -> Result<(), SteerError> {
+        self.validate()?;
         out.put_u16_le(self.param.len() as u16);
         out.put_slice(self.param.as_bytes());
         self.value.encode_bytes(out);
+        Ok(())
     }
 
     /// Decode one `(name, value)` pair, advancing `buf` past it.
@@ -128,6 +144,12 @@ pub enum SteerError {
         /// The kind the transport cannot carry.
         kind: &'static str,
     },
+    /// A command's parameter name exceeds the wire codec's u16 length
+    /// field, so no transport (nor a checkpoint) could carry it intact.
+    NameTooLong {
+        /// Offending name length in bytes.
+        len: usize,
+    },
     /// The transport failed to encode/decode the batch.
     Transport(String),
 }
@@ -142,7 +164,35 @@ impl std::fmt::Display for SteerError {
             SteerError::UnsupportedKind { param, kind } => {
                 write!(f, "{param}: kind {kind} not negotiated on this transport")
             }
+            SteerError::NameTooLong { len } => write!(
+                f,
+                "parameter name of {len} bytes exceeds the codec's u16 length field"
+            ),
             SteerError::Transport(e) => write!(f, "transport error: {e}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn encode_refuses_a_name_past_the_u16_field() {
+        let fits = SteerCommand::f64(&"a".repeat(u16::MAX as usize), 0.5);
+        let mut buf = BytesMut::new();
+        fits.encode_bytes(&mut buf).unwrap();
+        let bytes = buf.to_vec();
+        let mut slice = bytes.as_slice();
+        assert_eq!(SteerCommand::decode_bytes(&mut slice), Some(fits));
+        assert!(slice.is_empty());
+        // one byte more used to wrap the length to 0 and desync the stream
+        let long = SteerCommand::f64(&"a".repeat(u16::MAX as usize + 1), 0.5);
+        let mut buf = BytesMut::new();
+        assert_eq!(
+            long.encode_bytes(&mut buf),
+            Err(SteerError::NameTooLong { len: 65_536 })
+        );
+        assert!(buf.is_empty(), "a refused command writes nothing");
     }
 }

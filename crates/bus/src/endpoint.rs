@@ -124,7 +124,9 @@ pub(crate) fn negotiate_caps(
 }
 
 /// Enforce a negotiated capability set on an outgoing batch (shared by
-/// every adapter).
+/// every adapter), and refuse a command the `(name, value)` codec cannot
+/// carry — before any transport encodes it, so every transport refuses it
+/// alike and the hub never stages a batch its checkpoint cannot restore.
 pub(crate) fn check_batch(
     caps: &Capabilities,
     commands: &[SteerCommand],
@@ -139,6 +141,7 @@ pub(crate) fn check_batch(
         });
     }
     for cmd in commands {
+        cmd.validate()?;
         if !caps.kinds.contains(&cmd.value.kind()) {
             return Err(SteerError::UnsupportedKind {
                 param: cmd.param.clone(),

@@ -76,7 +76,8 @@ impl SteerHub {
     }
 
     /// Stage a transport-decoded batch for the next commit. Returns the
-    /// assigned batch sequence number.
+    /// assigned batch sequence number. Refuses a command whose name the
+    /// checkpoint codec cannot carry, so a staged batch always restores.
     pub fn stage(
         &self,
         origin: &str,
@@ -86,6 +87,7 @@ impl SteerHub {
         if commands.is_empty() {
             return Err(SteerError::EmptyBatch);
         }
+        commands.iter().try_for_each(SteerCommand::validate)?;
         let mut st = self.state.lock();
         st.next_batch += 1;
         let seq = st.next_batch;

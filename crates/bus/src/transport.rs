@@ -78,7 +78,7 @@ impl Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::SteerCommand;
+    use crate::command::{SteerCommand, SteerError};
     use crate::spec::ParamSpec;
     use crate::value::ParamValue;
 
@@ -101,6 +101,42 @@ mod tests {
                 t.label()
             );
         }
+    }
+
+    /// A name past the `(name, value)` codec's u16 length field is
+    /// refused alike by every transport and by the hub itself, so no batch
+    /// is staged that the hub's checkpoint could not restore.
+    #[test]
+    fn every_transport_refuses_a_name_past_the_u16_field() {
+        use gridsteer_ckpt::Snapshot;
+        let long = "p".repeat(u16::MAX as usize + 6);
+        let hub = SteerHub::new(vec![
+            ParamSpec::f64(&long, 0.0, 1.0, 1.0),
+            ParamSpec::f64("gain", 0.0, 1.0, 1.0),
+        ]);
+        let refused = Err(SteerError::NameTooLong { len: long.len() });
+        for t in Transport::ALL {
+            let mut ep = t.attach(&hub, "alice");
+            assert_eq!(
+                ep.set_batch(vec![SteerCommand::f64(&long, 0.5)]),
+                refused,
+                "{}",
+                t.label()
+            );
+        }
+        let cmds = vec![
+            SteerCommand::f64("gain", 0.5),
+            SteerCommand::f64(&long, 0.5),
+        ];
+        assert_eq!(hub.stage("alice", "loopback", cmds), refused);
+        assert_eq!(hub.pending(), 0);
+        // what the hub did stage checkpoints and restores
+        hub.stage("alice", "loopback", vec![SteerCommand::f64("gain", 0.5)])
+            .unwrap();
+        let mut snap = Snapshot::new(0, 0);
+        hub.save_sections(&mut snap, "hub");
+        hub.restore_sections(&snap, "hub").unwrap();
+        assert_eq!(hub.pending(), 1);
     }
 
     /// The outbound interop contract: the same published frames reach a

@@ -17,14 +17,15 @@ use bytes::{Buf, BufMut, BytesMut};
 use unicore::{Ajo, Task};
 
 /// Encode a command list as the `steer.cmd` job payload (count + the
-/// shared [`SteerCommand::encode_bytes`] pair codec).
-fn encode_payload(commands: &[SteerCommand]) -> Vec<u8> {
+/// shared [`SteerCommand::encode_bytes`] pair codec). The count fits its
+/// u16 field: `check_batch` bounds it by the negotiated `max_batch` (64).
+fn encode_payload(commands: &[SteerCommand]) -> Result<Vec<u8>, SteerError> {
     let mut buf = BytesMut::new();
     buf.put_u16_le(commands.len() as u16);
     for cmd in commands {
-        cmd.encode_bytes(&mut buf);
+        cmd.encode_bytes(&mut buf)?;
     }
-    buf.to_vec()
+    Ok(buf.to_vec())
 }
 
 /// Decode the `steer.cmd` payload. `None` on any malformation.
@@ -92,7 +93,7 @@ impl SteerEndpoint for UnicoreEndpoint {
         let stage = ajo.add_task(
             Task::StageIn {
                 path: "steer.cmd".into(),
-                data: encode_payload(&commands),
+                data: encode_payload(&commands)?,
             },
             &[],
         );
@@ -164,7 +165,7 @@ mod tests {
             SteerCommand::f64("a", 1.5),
             SteerCommand::new("b", ParamValue::Str("x".into())),
         ];
-        let bytes = encode_payload(&cmds);
+        let bytes = encode_payload(&cmds).unwrap();
         assert_eq!(decode_payload(&bytes), Some(cmds));
         for cut in 0..bytes.len() {
             assert_eq!(decode_payload(&bytes[..cut]), None, "cut={cut}");

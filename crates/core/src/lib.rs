@@ -16,9 +16,9 @@
 //!   desktop rendering, post-processing, simulation) as checkable
 //!   [`monitor::LoopBudget`]s with measurement recording and violation
 //!   counts, plus the outbound data plane's application side: the
-//!   [`monitor::MonitorSource`] surface both paper codes implement and
-//!   the [`monitor::GenericMonitorAdapter`] that publishes it through a
-//!   [`gridsteer_bus::MonitorHub`].
+//!   [`monitor::MonitorSource`] surface both paper codes implement, whose
+//!   provided [`monitor::MonitorSource::publish`] is the one path from a
+//!   sample into a [`gridsteer_bus::MonitorHub`].
 //! * [`server`] — [`server::CollabServer`]: a real multi-threaded TCP
 //!   steering server speaking a small framed protocol, so multiple client
 //!   processes on loopback genuinely steer one simulation concurrently.
@@ -39,10 +39,7 @@ pub use gridsteer_bus::{
     MonitorStats,
 };
 pub use migrate::{MigrationReport, Migrator};
-pub use monitor::{
-    GenericMonitorAdapter, LbmMonitorAdapter, LoopBudget, LoopMonitor, LoopReport, MonitorScratch,
-    MonitorSource, PepcMonitorAdapter,
-};
+pub use monitor::{LoopBudget, LoopMonitor, LoopReport, MonitorSource};
 pub use params::{
     BoundsPolicy, GenericSteerAdapter, LbmSteerAdapter, ParamKind, ParamRegistry, ParamSpec,
     ParamValue, PepcSteerAdapter, SharedRegistry, SteerCommand, SteerTarget,

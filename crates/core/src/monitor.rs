@@ -1,4 +1,4 @@
-//! Feedback-loop budgets of §4.2–4.4, and the monitored-output adapters.
+//! Feedback-loop budgets of §4.2–4.4, and the monitored-output surface.
 //!
 //! The paper's only quantitative requirements table, in prose:
 //!
@@ -16,17 +16,16 @@
 //! The budgets are what monitored output is *scored against*; the second
 //! half of this module is what produces that output: [`MonitorSource`] is
 //! the one trait a simulation implements to name its monitored quantities
-//! (the outbound mirror of [`SteerTarget`](crate::SteerTarget)), and
-//! [`GenericMonitorAdapter`] publishes any source's step-boundary payloads
-//! through a [`gridsteer_bus::MonitorHub`] — replacing per-simulation
-//! publishing code exactly as `GenericSteerAdapter` replaced the
-//! per-simulation steering adapters.
+//! (the outbound mirror of [`SteerTarget`](crate::SteerTarget)), and its
+//! provided [`publish`](MonitorSource::publish) is the one path from a
+//! step-boundary sample into a [`gridsteer_bus::MonitorHub`]: grid
+//! channels borrow a caller-retained scratch buffer, so a warm publish
+//! copies no grid.
 
 use gridsteer_bus::{MonitorHub, MonitorPayload};
 use lbm::TwoFluidLbm;
 use netsim::SimTime;
 use pepc::PepcSim;
-use std::marker::PhantomData;
 
 /// One of the paper's reaction-time budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,84 +194,46 @@ impl LoopMonitor {
 pub trait MonitorSource {
     /// The monitored payloads at the current state, in a fixed channel
     /// order (scenario digests fold these bytes, so order is contract).
-    fn monitor_payloads(&self) -> Vec<MonitorPayload<'static>>;
-
-    /// The same surface through caller-retained buffers: grid channels
-    /// are filled into `scratch` in place and returned as *borrowed*
-    /// payloads, so a warm publish makes no grid-sized allocation. Must
-    /// produce bit-identical channel values to
-    /// [`monitor_payloads`](MonitorSource::monitor_payloads) — the
-    /// default falls back to the owned surface.
-    fn monitor_payloads_into<'a>(
-        &self,
-        scratch: &'a mut MonitorScratch,
-    ) -> Vec<MonitorPayload<'a>> {
-        let _ = scratch;
-        self.monitor_payloads()
-    }
+    /// Grid channels are filled into the caller-retained `scratch` in
+    /// place and returned *borrowing* it, so once `scratch` has taken its
+    /// capacity a sample makes no grid-sized allocation. Sources without
+    /// grid channels leave `scratch` untouched.
+    fn monitor_payloads<'a>(&self, scratch: &'a mut Vec<f32>) -> Vec<MonitorPayload<'a>>;
 
     /// Monotone progress counter (simulation steps taken) — stamped onto
     /// published frames as the step number.
     fn monitor_step(&self) -> u64;
-}
 
-/// Reusable grid buffers for the zero-copy monitor path. The adapter
-/// owner keeps one of these alive across samples; each publish refills
-/// the buffers in place and ships payloads borrowing them, so
-/// steady-state monitoring performs no per-sample grid allocation.
-#[derive(Debug, Default)]
-pub struct MonitorScratch {
-    /// Full-lattice grid channel (φ for the LBM).
-    field: Vec<f32>,
-    /// Mid-plane slice channel.
-    slice: Vec<f32>,
+    /// Publish the step-boundary payloads through `hub` as one batch (one
+    /// transport envelope per subscriber chunk). Keep `scratch` alive
+    /// across samples: the grid channels are refilled in place and fanned
+    /// out borrowed, never cloned. Returns the number of frames published.
+    fn publish(&self, hub: &MonitorHub, scratch: &mut Vec<f32>) -> u64 {
+        hub.publish_batch(self.monitor_step(), self.monitor_payloads(scratch))
+    }
 }
 
 impl MonitorSource for TwoFluidLbm {
-    fn monitor_payloads(&self) -> Vec<MonitorPayload<'static>> {
+    fn monitor_payloads<'a>(&self, scratch: &'a mut Vec<f32>) -> Vec<MonitorPayload<'a>> {
         let (nx, ny, nz) = self.dims();
         let (mass_a, mass_b) = self.total_mass();
-        let phi = self.order_parameter();
-        // the mid-plane slice is a view of the full field just computed —
-        // never a second pass over the distributions (the standalone
-        // `order_parameter_slice` exists for callers that want *only* a
-        // plane)
-        let mid = nz / 2;
-        let slice: Vec<f32> = (0..ny)
-            .flat_map(|y| (0..nx).map(move |x| (x, y)))
-            .map(|(x, y)| phi.get(x, y, mid))
-            .collect();
-        vec![
-            MonitorPayload::scalar("demix", lbm::demix_of(&phi)),
-            MonitorPayload::scalar("mass_a", mass_a),
-            MonitorPayload::scalar("mass_b", mass_b),
-            MonitorPayload::vec3("momentum", self.total_momentum()),
-            MonitorPayload::grid2("phi_mid", nx as u32, ny as u32, slice),
-            MonitorPayload::grid3("phi", nx as u32, ny as u32, nz as u32, phi.data().to_vec()),
-        ]
-    }
-
-    fn monitor_payloads_into<'a>(
-        &self,
-        scratch: &'a mut MonitorScratch,
-    ) -> Vec<MonitorPayload<'a>> {
-        let MonitorScratch { field, slice } = scratch;
-        let (nx, ny, nz) = self.dims();
-        let (mass_a, mass_b) = self.total_mass();
-        self.order_parameter_into(field);
+        self.order_parameter_into(scratch);
+        let field: &'a [f32] = scratch;
         // the mid-plane slice is the contiguous z = nz/2 plane of the
-        // row-major field just computed — same values as the owned
-        // surface, no second distribution pass
+        // row-major field just computed: a view, not a second pass
         let plane = nx * ny;
         let mid = nz / 2;
-        slice.clear();
-        slice.extend_from_slice(&field[mid * plane..(mid + 1) * plane]);
         vec![
             MonitorPayload::scalar("demix", lbm::demix_of_slice(field)),
             MonitorPayload::scalar("mass_a", mass_a),
             MonitorPayload::scalar("mass_b", mass_b),
             MonitorPayload::vec3("momentum", self.total_momentum()),
-            MonitorPayload::grid2_borrowed("phi_mid", nx as u32, ny as u32, slice),
+            MonitorPayload::grid2_borrowed(
+                "phi_mid",
+                nx as u32,
+                ny as u32,
+                &field[mid * plane..(mid + 1) * plane],
+            ),
             MonitorPayload::grid3_borrowed("phi", nx as u32, ny as u32, nz as u32, field),
         ]
     }
@@ -283,7 +244,7 @@ impl MonitorSource for TwoFluidLbm {
 }
 
 impl MonitorSource for PepcSim {
-    fn monitor_payloads(&self) -> Vec<MonitorPayload<'static>> {
+    fn monitor_payloads<'a>(&self, _scratch: &'a mut Vec<f32>) -> Vec<MonitorPayload<'a>> {
         let mut out = vec![
             MonitorPayload::scalar("kinetic", self.kinetic_energy()),
             MonitorPayload::scalar("potential", self.potential_energy()),
@@ -299,80 +260,6 @@ impl MonitorSource for PepcSim {
         self.step_count()
     }
 }
-
-/// One publishing adapter for every [`MonitorSource`] simulation — the
-/// data-plane counterpart of [`GenericSteerAdapter`](crate::GenericSteerAdapter):
-/// LBM and PEPC publish their monitored quantities through *this*, never
-/// through per-simulation one-offs.
-#[derive(Debug)]
-pub struct GenericMonitorAdapter<T: ?Sized> {
-    frames_published: u64,
-    _source: PhantomData<fn(&T)>,
-}
-
-impl<T: MonitorSource + ?Sized> GenericMonitorAdapter<T> {
-    /// A fresh adapter.
-    pub fn new() -> Self {
-        GenericMonitorAdapter {
-            frames_published: 0,
-            _source: PhantomData,
-        }
-    }
-
-    /// Publish the source's step-boundary payloads as one batch — the
-    /// delivery mode scenario runs use (one transport envelope per
-    /// subscriber chunk). Returns the number of frames published.
-    pub fn publish(&mut self, sim: &T, hub: &MonitorHub) -> u64 {
-        let n = hub.publish_batch(sim.monitor_step(), sim.monitor_payloads());
-        self.frames_published += n;
-        n
-    }
-
-    /// [`publish`](GenericMonitorAdapter::publish) through caller-retained
-    /// scratch buffers — the zero-copy steady state: grid channels are
-    /// refilled in place and fanned out as borrowed payloads, so a warm
-    /// publish performs no grid-sized allocation anywhere on the path.
-    pub fn publish_borrowed(
-        &mut self,
-        sim: &T,
-        hub: &MonitorHub,
-        scratch: &mut MonitorScratch,
-    ) -> u64 {
-        let step = sim.monitor_step();
-        let n = hub.publish_batch(step, sim.monitor_payloads_into(scratch));
-        self.frames_published += n;
-        n
-    }
-
-    /// Publish the same payloads one frame at a time — the per-sample
-    /// baseline the fan-out bench compares against batched delivery.
-    pub fn publish_per_sample(&mut self, sim: &T, hub: &MonitorHub) -> u64 {
-        let step = sim.monitor_step();
-        let payloads = sim.monitor_payloads();
-        let n = payloads.len() as u64;
-        for p in payloads {
-            hub.publish(step, p);
-        }
-        self.frames_published += n;
-        n
-    }
-
-    /// Frames this adapter has published.
-    pub fn frames_published(&self) -> u64 {
-        self.frames_published
-    }
-}
-
-impl<T: MonitorSource + ?Sized> Default for GenericMonitorAdapter<T> {
-    fn default() -> Self {
-        GenericMonitorAdapter::new()
-    }
-}
-
-/// Monitor adapter for the Lattice-Boltzmann fluid (§2.2).
-pub type LbmMonitorAdapter = GenericMonitorAdapter<TwoFluidLbm>;
-/// Monitor adapter for PEPC (§3.4).
-pub type PepcMonitorAdapter = GenericMonitorAdapter<PepcSim>;
 
 #[cfg(test)]
 mod tests {
@@ -468,7 +355,8 @@ mod tests {
             threads: 1,
             ..Default::default()
         });
-        let payloads = sim.monitor_payloads();
+        let mut scratch = Vec::new();
+        let payloads = sim.monitor_payloads(&mut scratch);
         let kinds: Vec<MonitorKind> = payloads.iter().map(MonitorPayload::kind).collect();
         assert_eq!(
             kinds,
@@ -512,10 +400,14 @@ mod tests {
             ranks: 1,
             ..pepc::PepcConfig::small()
         });
-        let before = sim.monitor_payloads();
-        assert_eq!(before.len(), 3, "no beam ⇒ no centroid channel");
+        let mut scratch = Vec::new();
+        assert_eq!(
+            sim.monitor_payloads(&mut scratch).len(),
+            3,
+            "no beam ⇒ no centroid channel"
+        );
         sim.inject_beam(5, 0.1);
-        let after = sim.monitor_payloads();
+        let after = sim.monitor_payloads(&mut scratch);
         assert_eq!(after.len(), 4);
         assert!(matches!(after[3], MonitorPayload::Vec3 { .. }));
         // energies are consistent with the sim's own accounting
@@ -531,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_and_owned_monitor_surfaces_are_bit_identical() {
+    fn lbm_monitor_surface_matches_the_sims_accessors_bit_for_bit() {
         let mut sim = TwoFluidLbm::new(lbm::LbmConfig {
             nx: 6,
             ny: 5,
@@ -540,92 +432,56 @@ mod tests {
             ..Default::default()
         });
         sim.step_n(3);
-        let owned = sim.monitor_payloads();
-        let mut scratch = MonitorScratch::default();
-        let borrowed = sim.monitor_payloads_into(&mut scratch);
-        assert_eq!(owned.len(), borrowed.len());
+        let (nx, ny, nz) = sim.dims();
+        let (mass_a, mass_b) = sim.total_mass();
+        let (_, _, slice) = sim.order_parameter_slice(nz / 2);
+        let expected = vec![
+            MonitorPayload::scalar("demix", sim.demix_metric()),
+            MonitorPayload::scalar("mass_a", mass_a),
+            MonitorPayload::scalar("mass_b", mass_b),
+            MonitorPayload::vec3("momentum", sim.total_momentum()),
+            MonitorPayload::grid2("phi_mid", nx as u32, ny as u32, slice),
+            MonitorPayload::grid3(
+                "phi",
+                nx as u32,
+                ny as u32,
+                nz as u32,
+                sim.order_parameter().data().to_vec(),
+            ),
+        ];
+        let mut scratch = Vec::new();
+        let surface = sim.monitor_payloads(&mut scratch);
+        assert_eq!(surface.len(), expected.len());
         // canonical wire bytes are the bit-identity witness (PartialEq on
         // floats would let -0.0/NaN drift pass)
-        for (o, b) in owned.iter().zip(&borrowed) {
-            let wire = |p: &MonitorPayload| {
-                gridsteer_bus::MonitorFrame {
-                    seq: 1,
-                    step: 3,
-                    payload: p.clone(),
-                }
-                .try_to_bytes()
-                .unwrap()
-            };
-            assert_eq!(wire(o), wire(b), "channel {}", o.name());
-        }
-        // the borrowed grids really are borrowed — no hidden clone
-        assert!(matches!(
-            &borrowed[5],
-            MonitorPayload::Grid3 {
-                data: std::borrow::Cow::Borrowed(_),
-                ..
+        let wire = |p: &MonitorPayload| {
+            gridsteer_bus::MonitorFrame {
+                seq: 1,
+                step: 3,
+                payload: p.clone(),
             }
-        ));
-    }
-
-    #[test]
-    fn generic_adapter_publishes_borrowed_and_owned_identically() {
-        use gridsteer_bus::{MonitorCaps, MonitorHub, Transport};
-        let mut sim = TwoFluidLbm::new(lbm::LbmConfig {
-            nx: 4,
-            ny: 4,
-            nz: 4,
-            threads: 1,
-            ..Default::default()
-        });
-        sim.step_n(2);
-        let run = |borrowed: bool| {
-            let hub = MonitorHub::new();
-            hub.attach_endpoint(
-                "v",
-                Transport::Unicore.attach_monitor("v"),
-                &MonitorCaps::full("viewer", 64),
-            );
-            let mut adapter = LbmMonitorAdapter::new();
-            let n = if borrowed {
-                let mut scratch = MonitorScratch::default();
-                adapter.publish_borrowed(&sim, &hub, &mut scratch)
-            } else {
-                adapter.publish(&sim, &hub)
-            };
-            assert_eq!(n, 6);
-            hub.recv("v")
+            .try_to_bytes()
+            .unwrap()
         };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn generic_adapter_publishes_batched_and_per_sample_identically() {
-        use gridsteer_bus::{MonitorCaps, MonitorHub, Transport};
-        let sim = TwoFluidLbm::new(lbm::LbmConfig {
-            nx: 4,
-            ny: 4,
-            nz: 4,
-            threads: 1,
-            ..Default::default()
-        });
-        let run = |batched: bool| {
-            let hub = MonitorHub::new();
-            hub.attach_endpoint(
-                "v",
-                Transport::Visit.attach_monitor("v"),
-                &MonitorCaps::full("viewer", 64),
+        for (s, e) in surface.iter().zip(&expected) {
+            assert_eq!(wire(s), wire(e), "channel {}", e.name());
+        }
+        // both grids borrow the one scratch buffer — no hidden clone
+        for grid in &surface[4..] {
+            assert!(
+                matches!(
+                    grid,
+                    MonitorPayload::Grid2 {
+                        data: std::borrow::Cow::Borrowed(_),
+                        ..
+                    } | MonitorPayload::Grid3 {
+                        data: std::borrow::Cow::Borrowed(_),
+                        ..
+                    }
+                ),
+                "channel {} is not borrowed",
+                grid.name()
             );
-            let mut adapter = LbmMonitorAdapter::new();
-            let n = if batched {
-                adapter.publish(&sim, &hub)
-            } else {
-                adapter.publish_per_sample(&sim, &hub)
-            };
-            assert_eq!(n, 6);
-            assert_eq!(adapter.frames_published(), 6);
-            hub.recv("v")
-        };
-        assert_eq!(run(true), run(false));
+        }
     }
 }

@@ -36,9 +36,29 @@ const OP_VALUE: u8 = 8;
 const OP_WELCOME: u8 = 9;
 const OP_BATCH: u8 = 10;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16_le(s.len() as u16);
+/// Write a u16-length-prefixed string, refusing one the length field
+/// cannot carry rather than wrapping it.
+fn put_str(buf: &mut BytesMut, s: &str) -> Result<(), String> {
+    let len = u16::try_from(s.len()).map_err(|_| {
+        format!(
+            "string of {} bytes exceeds the protocol's u16 length field",
+            s.len()
+        )
+    })?;
+    buf.put_u16_le(len);
     buf.put_slice(s.as_bytes());
+    Ok(())
+}
+
+/// Write an `OP_ERR` reply. A reason can echo a client-sent name of any
+/// length, so it is cut at a char boundary to fit the u16 length field.
+fn put_err(buf: &mut BytesMut, reason: &str) {
+    let mut end = reason.len().min(u16::MAX as usize);
+    while !reason.is_char_boundary(end) {
+        end -= 1;
+    }
+    buf.put_u8(OP_ERR);
+    put_str(buf, &reason[..end]).expect("reason cut to the length field");
 }
 
 fn get_str(buf: &mut &[u8]) -> Option<String> {
@@ -162,12 +182,20 @@ fn serve_client(
                     name = format!("{base}-{k}");
                     k += 1;
                 }
-                let idx = s.join(&name);
-                let is_master = s.master() == Some(idx);
-                my_name = Some(name.clone());
-                reply.put_u8(OP_WELCOME);
-                reply.put_u8(u8::from(is_master));
-                put_str(&mut reply, &name);
+                // the welcome echoes the assigned name; refuse the join
+                // rather than assign one the reply cannot carry
+                let mut welcome = BytesMut::new();
+                match put_str(&mut welcome, &name) {
+                    Ok(()) => {
+                        let idx = s.join(&name);
+                        let is_master = s.master() == Some(idx);
+                        my_name = Some(name);
+                        reply.put_u8(OP_WELCOME);
+                        reply.put_u8(u8::from(is_master));
+                        reply.extend_from_slice(&welcome);
+                    }
+                    Err(e) => put_err(&mut reply, &e),
+                }
             }
             Some(OP_SET) => {
                 let (Some(name), Some(value)) =
@@ -186,10 +214,7 @@ fn serve_client(
                 };
                 match r {
                     Ok(()) => reply.put_u8(OP_OK),
-                    Err(e) => {
-                        reply.put_u8(OP_ERR);
-                        put_str(&mut reply, &e);
-                    }
+                    Err(e) => put_err(&mut reply, &e),
                 }
             }
             Some(OP_BATCH) => {
@@ -215,11 +240,9 @@ fn serve_client(
                 }
                 if count == 0 {
                     // match the bus's EmptyBatch semantics
-                    reply.put_u8(OP_ERR);
-                    put_str(&mut reply, "empty batch");
+                    put_err(&mut reply, "empty batch");
                 } else if seq <= last_batch_seq {
-                    reply.put_u8(OP_ERR);
-                    put_str(&mut reply, &format!("stale batch seq {seq}"));
+                    put_err(&mut reply, &format!("stale batch seq {seq}"));
                 } else {
                     last_batch_seq = seq;
                     let who = my_name.clone().unwrap_or_default();
@@ -233,10 +256,7 @@ fn serve_client(
                             reply.put_u8(OP_OK);
                             reply.put_u16_le(n as u16);
                         }
-                        Err(e) => {
-                            reply.put_u8(OP_ERR);
-                            put_str(&mut reply, &e);
-                        }
+                        Err(e) => put_err(&mut reply, &e),
                     }
                 }
             }
@@ -250,10 +270,7 @@ fn serve_client(
                         reply.put_u8(OP_VALUE);
                         v.encode_bytes(&mut reply);
                     }
-                    None => {
-                        reply.put_u8(OP_ERR);
-                        put_str(&mut reply, &format!("unknown parameter: {name}"));
-                    }
+                    None => put_err(&mut reply, &format!("unknown parameter: {name}")),
                 }
             }
             Some(OP_PASS) => {
@@ -269,8 +286,7 @@ fn serve_client(
                 if ok {
                     reply.put_u8(OP_OK);
                 } else {
-                    reply.put_u8(OP_ERR);
-                    put_str(&mut reply, "pass refused");
+                    put_err(&mut reply, "pass refused");
                 }
             }
             _ => break Err(LinkError::Io("unknown op".into())),
@@ -306,12 +322,17 @@ impl ClientHandle {
         let mut link = TcpLink::connect(addr, Duration::from_secs(2))?;
         let mut req = BytesMut::new();
         req.put_u8(OP_HELLO);
-        put_str(&mut req, name);
+        put_str(&mut req, name).map_err(LinkError::Io)?;
         link.send(&req)?;
         let reply = link.recv_timeout(Duration::from_secs(2))?;
         let mut body: &[u8] = &reply;
-        if body.is_empty() || body.get_u8() != OP_WELCOME {
-            return Err(LinkError::Io("bad welcome".into()));
+        match body.first().copied() {
+            Some(OP_WELCOME) => body.advance(1),
+            Some(OP_ERR) => {
+                body.advance(1);
+                return Err(LinkError::Io(get_str(&mut body).unwrap_or_default()));
+            }
+            _ => return Err(LinkError::Io("bad welcome".into())),
         }
         let is_master = body.get_u8() != 0;
         let assigned = get_str(&mut body).ok_or(LinkError::Io("bad welcome name".into()))?;
@@ -333,7 +354,7 @@ impl ClientHandle {
     pub fn set_value(&mut self, param: &str, value: &ParamValue) -> Result<(), String> {
         let mut req = BytesMut::new();
         req.put_u8(OP_SET);
-        put_str(&mut req, param);
+        put_str(&mut req, param)?;
         value.encode_bytes(&mut req);
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
         let mut body: &[u8] = &reply;
@@ -367,7 +388,7 @@ impl ClientHandle {
         req.put_u64_le(self.next_batch_seq);
         req.put_u16_le(commands.len() as u16);
         for cmd in commands {
-            cmd.encode_bytes(&mut req);
+            cmd.encode_bytes(&mut req).map_err(|e| e.to_string())?;
         }
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
         let mut body: &[u8] = &reply;
@@ -382,7 +403,7 @@ impl ClientHandle {
     pub fn get_value(&mut self, param: &str) -> Result<ParamValue, String> {
         let mut req = BytesMut::new();
         req.put_u8(OP_GET);
-        put_str(&mut req, param);
+        put_str(&mut req, param)?;
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
         let mut body: &[u8] = &reply;
         match body.get_u8() {
@@ -403,7 +424,7 @@ impl ClientHandle {
     pub fn pass_master(&mut self, to: &str) -> Result<(), String> {
         let mut req = BytesMut::new();
         req.put_u8(OP_PASS);
-        put_str(&mut req, to);
+        put_str(&mut req, to)?;
         let reply = self.roundtrip(req).map_err(|e| format!("{e:?}"))?;
         let mut body: &[u8] = &reply;
         match body.get_u8() {
@@ -493,6 +514,48 @@ mod tests {
         let b = ClientHandle::connect(&addr, "node").unwrap();
         assert_eq!(a.name, "node");
         assert_eq!(b.name, "node-1");
+    }
+
+    #[test]
+    fn names_past_the_u16_field_are_refused_not_wrapped() {
+        let srv = server();
+        let addr = srv.addr().to_string();
+        // client side: 65,540 bytes would wrap to 4 and join as "nnnn"
+        let long = "n".repeat(u16::MAX as usize + 5);
+        let err = ClientHandle::connect(&addr, &long).err().unwrap();
+        assert!(format!("{err:?}").contains("u16 length field"), "{err:?}");
+        // server side: a name that fits, but whose disambiguated form
+        // does not, is refused instead of welcomed under a wrapped name
+        let max = "m".repeat(u16::MAX as usize);
+        let first = ClientHandle::connect(&addr, &max).unwrap();
+        assert_eq!(first.name, max);
+        let err = ClientHandle::connect(&addr, &max).err().unwrap();
+        assert!(format!("{err:?}").contains("u16 length field"), "{err:?}");
+        let mut a = ClientHandle::connect(&addr, "alice").unwrap();
+        assert!(a.get_value(&long).unwrap_err().contains("u16 length field"));
+        let bad = [SteerCommand::f64(&long, 0.5)];
+        assert!(a.set_batch(&bad).unwrap_err().contains("u16 length field"));
+        // the connection survives the refusals
+        assert_eq!(a.get("miscibility").unwrap(), 1.0);
+    }
+
+    #[test]
+    fn error_replies_stay_within_the_u16_field() {
+        let srv = server();
+        let addr = srv.addr().to_string();
+        let mut a = ClientHandle::connect(&addr, "alice").unwrap();
+        // "unknown parameter: " + 65,530 bytes would overrun the field
+        // and reach the client as a garbled 13-byte reason
+        let name = "q".repeat(65_530);
+        let err = a.get_value(&name).unwrap_err();
+        assert_eq!(err.len(), u16::MAX as usize);
+        assert!(err.starts_with("unknown parameter: qqq"), "{}", &err[..40]);
+        // a multi-byte name is cut at a char boundary, not mid-character
+        let wide = format!("x{}", "é".repeat(32_760));
+        let err = a.get_value(&wide).unwrap_err();
+        assert_eq!(err.len(), u16::MAX as usize - 1);
+        assert!(err.ends_with('é'));
+        assert_eq!(a.get("miscibility").unwrap(), 1.0);
     }
 
     #[test]

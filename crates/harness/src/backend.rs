@@ -11,7 +11,7 @@ use gridsteer_exec::ExecPool;
 use lbm::{LbmConfig, TwoFluidLbm};
 use pepc::{PepcConfig, PepcSim};
 use std::sync::Arc;
-use steer_core::{GenericMonitorAdapter, MonitorHub, ParamSpec, ParamValue, SteerTarget};
+use steer_core::{MonitorHub, MonitorSource, ParamSpec, ParamValue, SteerTarget};
 
 /// A steerable simulation driven by the scenario engine.
 pub trait ScenarioBackend {
@@ -40,9 +40,10 @@ pub trait ScenarioBackend {
     fn advance(&mut self, steps: usize);
 
     /// Publish the backend's monitored quantities for the current step
-    /// through the hub, as one batch (both backends route through the
-    /// shared [`GenericMonitorAdapter`], never a per-simulation path).
-    /// Returns the number of frames published.
+    /// through the hub, as one batch (both backends route through
+    /// [`MonitorSource::publish`] with a scratch buffer they keep across
+    /// samples, never a per-simulation path). Returns the number of
+    /// frames published.
     fn publish_monitor(&mut self, hub: &MonitorHub) -> u64;
 
     /// Size of one sample on the wire, in bytes.
@@ -79,7 +80,8 @@ pub trait ScenarioBackend {
 /// The LB two-fluid mixture with the miscibility steering parameter.
 pub struct LbmBackend {
     sim: TwoFluidLbm,
-    monitor: GenericMonitorAdapter<TwoFluidLbm>,
+    /// Grid buffer the monitor surface refills each sample.
+    scratch: Vec<f32>,
 }
 
 impl LbmBackend {
@@ -87,7 +89,7 @@ impl LbmBackend {
     pub fn new(cfg: LbmConfig) -> Self {
         LbmBackend {
             sim: TwoFluidLbm::new(cfg),
-            monitor: GenericMonitorAdapter::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -120,7 +122,7 @@ impl ScenarioBackend for LbmBackend {
     }
 
     fn publish_monitor(&mut self, hub: &MonitorHub) -> u64 {
-        self.monitor.publish(&self.sim, hub)
+        self.sim.publish(hub, &mut self.scratch)
     }
 
     fn sample_bytes(&self) -> usize {
@@ -147,7 +149,8 @@ impl ScenarioBackend for LbmBackend {
 /// The PEPC plasma with the §3.4 steerable parameters.
 pub struct PepcBackend {
     sim: PepcSim,
-    monitor: GenericMonitorAdapter<PepcSim>,
+    /// Monitor scratch (unused while PEPC's surface is scalars only).
+    scratch: Vec<f32>,
 }
 
 /// Bytes per particle on the wire: position + velocity as f32 triples,
@@ -159,7 +162,7 @@ impl PepcBackend {
     pub fn new(cfg: PepcConfig) -> Self {
         PepcBackend {
             sim: PepcSim::new(cfg),
-            monitor: GenericMonitorAdapter::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -192,7 +195,7 @@ impl ScenarioBackend for PepcBackend {
     }
 
     fn publish_monitor(&mut self, hub: &MonitorHub) -> u64 {
-        self.monitor.publish(&self.sim, hub)
+        self.sim.publish(hub, &mut self.scratch)
     }
 
     fn sample_bytes(&self) -> usize {

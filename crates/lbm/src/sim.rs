@@ -111,7 +111,7 @@ impl LbmConfig {
 
 /// Spatial variance of an order-parameter field — the demixing metric of
 /// [`TwoFluidLbm::demix_metric`], exposed over a precomputed field so
-/// callers that already hold φ (the monitor adapter publishes the full
+/// callers that already hold φ (the monitor surface publishes the full
 /// lattice anyway) never pay a second distribution pass, and the metric
 /// has exactly one definition.
 pub fn demix_of(phi: &Field3) -> f64 {
@@ -611,28 +611,16 @@ impl TwoFluidLbm {
     /// cannot afford the full lattice. Computes only the requested plane.
     /// Panics if `z` is out of range.
     pub fn order_parameter_slice(&self, z: usize) -> (usize, usize, Vec<f32>) {
-        let mut data = Vec::new();
-        self.order_parameter_slice_into(z, &mut data);
-        (self.cfg.nx, self.cfg.ny, data)
-    }
-
-    /// Allocation-free variant of [`TwoFluidLbm::order_parameter_slice`]:
-    /// fills `out` (cleared first) and returns the plane dims. The
-    /// monitor adapter calls this every sample with a retained buffer, so
-    /// steady-state publishing allocates nothing.
-    pub fn order_parameter_slice_into(&self, z: usize, out: &mut Vec<f32>) -> (usize, usize) {
         assert!(
             z < self.cfg.nz,
             "slice plane {z} outside 0..{}",
             self.cfg.nz
         );
-        out.clear();
-        out.reserve(self.plane);
         let base = z * self.plane;
-        for k in 0..self.plane {
-            out.push(self.phi_node(base + k));
-        }
-        (self.cfg.nx, self.cfg.ny)
+        let data = (base..base + self.plane)
+            .map(|node| self.phi_node(node))
+            .collect();
+        (self.cfg.nx, self.cfg.ny, data)
     }
 
     /// Spatial variance of φ — a scalar demixing metric: near zero for a
@@ -1228,24 +1216,6 @@ mod tests {
         assert_eq!(phi.dims(), sim.dims());
         // symmetric mixture: mean φ ≈ 0
         assert!(phi.mean().abs() < 1e-2);
-    }
-
-    #[test]
-    fn slice_into_reuses_capacity_and_matches_allocating_form() {
-        let mut sim = TwoFluidLbm::new(LbmConfig::small());
-        sim.set_miscibility(0.2);
-        sim.step_n(3);
-        let (nx, ny, owned) = sim.order_parameter_slice(5);
-        let mut buf = Vec::new();
-        let dims = sim.order_parameter_slice_into(5, &mut buf);
-        assert_eq!(dims, (nx, ny));
-        assert_eq!(buf, owned);
-        let cap = buf.capacity();
-        let ptr = buf.as_ptr();
-        sim.step();
-        sim.order_parameter_slice_into(5, &mut buf);
-        assert_eq!(buf.capacity(), cap, "refill must not grow the buffer");
-        assert_eq!(buf.as_ptr(), ptr, "refill must not reallocate");
     }
 
     #[test]
